@@ -1772,10 +1772,8 @@ impl Explorer {
         let mut out = Vec::new();
         // Aggregate dynamic counts.
         let mut counts = std::collections::HashMap::new();
-        let mut instructions = 0u64;
         let mut field_busy = vec![0u64; machine.fields.len()];
         for run in &ev.kernel_stats {
-            instructions += run.stats.instructions;
             for (&r, &n) in &run.op_counts {
                 *counts.entry(r).or_insert(0u64) += n;
             }
@@ -1786,11 +1784,10 @@ impl Explorer {
             }
         }
         // Unused operations (never selected, or only as implicit nops).
-        for (r, op) in machine.all_ops() {
+        for (r, _) in machine.all_ops() {
             let used = counts.get(&r).copied().unwrap_or(0);
             let is_nop = machine.fields[r.field.0].nop == Some(r.op);
             if used == 0 && !is_nop {
-                let _ = op;
                 out.push(Mutation::RemoveOp(r));
             }
         }
@@ -1839,7 +1836,6 @@ impl Explorer {
                 }
             }
         }
-        let _ = instructions;
         out
     }
 }

@@ -31,10 +31,7 @@ run cargo test -q
 # matrix) must stay deterministic. All suites run inside `cargo test
 # -q` above too; naming them here keeps the gates explicit and the
 # failure output focused.
-run cargo test -q -p archex --test fault_injection
-run cargo test -q -p archex --test retry_deadline
-run cargo test -q -p archex --test journal_resume
-run cargo test -q -p archex --test journal_formats
+run cargo test -q -p archex
 # Crash-torture smoke (see docs/ROBUSTNESS.md): real `isdlc explore
 # --journal` children are SIGKILLed at seeded byte offsets and
 # resumed; the final trace must match the uninterrupted run's. The

@@ -13,8 +13,11 @@ fn isdlc(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("isdlc-cli-tests");
+/// Writes `contents` to `name` inside a scratch directory private to
+/// `test` and this process, so concurrently running tests never rewrite
+/// a file another test's child process is reading.
+fn write_temp(test: &str, name: &str, contents: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("isdlc-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
     let mut f = std::fs::File::create(&path).expect("create temp file");
@@ -35,7 +38,7 @@ fn check_summarizes_spam() {
 fn print_round_trips_through_check() {
     let (printed, _, ok) = isdlc(&["print", "fixtures/spam2.isdl"]);
     assert!(ok);
-    let path = write_temp("printed_spam2.isdl", &printed);
+    let path = write_temp("print_round_trips_through_check", "printed_spam2.isdl", &printed);
     let (stdout, _, ok) = isdlc(&["check", path.to_str().expect("utf8 path")]);
     assert!(ok, "printed description loads");
     assert!(stdout.contains("machine `spam2`"));
@@ -43,9 +46,12 @@ fn print_round_trips_through_check() {
 
 #[test]
 fn asm_run_and_disasm() {
-    let asm =
-        write_temp("sum.asm", "start: ldi 2\n addm ten\n sta 0\n halt\n.data\nten: .word 40\n");
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let asm = write_temp(
+        "asm_run_and_disasm",
+        "sum.asm",
+        "start: ldi 2\n addm ten\n sta 0\n halt\n.data\nten: .word 40\n",
+    );
+    let machine = write_temp("asm_run_and_disasm", "acc16.isdl", isdl::samples::ACC16);
     let m = machine.to_str().expect("utf8 path");
     let a = asm.to_str().expect("utf8 path");
 
@@ -67,9 +73,9 @@ fn asm_run_and_disasm() {
 
 #[test]
 fn batch_script_executes() {
-    let asm = write_temp("b.asm", "ldi 5\nhalt\n");
-    let script = write_temp("b.script", "step 1\nx ACC\nrun\n");
-    let machine = write_temp("acc16b.isdl", isdl::samples::ACC16);
+    let asm = write_temp("batch_script_executes", "b.asm", "ldi 5\nhalt\n");
+    let script = write_temp("batch_script_executes", "b.script", "step 1\nx ACC\nrun\n");
+    let machine = write_temp("batch_script_executes", "acc16b.isdl", isdl::samples::ACC16);
     let (stdout, _, ok) = isdlc(&[
         "batch",
         machine.to_str().expect("utf8"),
@@ -105,7 +111,7 @@ fn errors_are_reported() {
     assert!(!ok);
     assert!(stderr.contains("cannot read"));
 
-    let bad = write_temp("bad.isdl", "machine \"x\" {");
+    let bad = write_temp("errors_are_reported", "bad.isdl", "machine \"x\" {");
     let (_, stderr, ok) = isdlc(&["check", bad.to_str().expect("utf8")]);
     assert!(!ok);
     assert!(stderr.contains("syntax error") || stderr.contains("error"), "{stderr}");
@@ -117,8 +123,8 @@ fn errors_are_reported() {
 
 #[test]
 fn wave_emits_vcd() {
-    let asm = write_temp("w.asm", "ldi 3\nshl1\nend: jmp end\n");
-    let machine = write_temp("acc16w.isdl", isdl::samples::ACC16);
+    let asm = write_temp("wave_emits_vcd", "w.asm", "ldi 3\nshl1\nend: jmp end\n");
+    let machine = write_temp("wave_emits_vcd", "acc16w.isdl", isdl::samples::ACC16);
     let (stdout, _, ok) =
         isdlc(&["wave", machine.to_str().expect("utf8"), asm.to_str().expect("utf8"), "8"]);
     assert!(ok);
@@ -130,8 +136,9 @@ fn wave_emits_vcd() {
 
 #[test]
 fn hex_and_tb_produce_usable_artifacts() {
-    let asm = write_temp("h.asm", "ldi 9\nhalt\n");
-    let machine = write_temp("acc16h.isdl", isdl::samples::ACC16);
+    let asm = write_temp("hex_and_tb_produce_usable_artifacts", "h.asm", "ldi 9\nhalt\n");
+    let machine =
+        write_temp("hex_and_tb_produce_usable_artifacts", "acc16h.isdl", isdl::samples::ACC16);
     let m = machine.to_str().expect("utf8");
 
     let (hex, _, ok) = isdlc(&["hex", m, asm.to_str().expect("utf8")]);

@@ -15,8 +15,11 @@ fn xsim(args: &[&str]) -> (String, String, bool) {
     )
 }
 
-fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("xsim-cli-tests");
+/// Writes `contents` to `name` inside a scratch directory private to
+/// `test` and this process, so concurrently running tests never rewrite
+/// a file another test's child process is reading.
+fn write_temp(test: &str, name: &str, contents: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("xsim-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join(name);
     let mut f = std::fs::File::create(&path).expect("create temp file");
@@ -26,15 +29,15 @@ fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
 
 const PROG: &str = "ldi 7\naddm ten\nsta 0\nhalt\n.data\n.org 20\nten: .word 10\n";
 
-fn fixture_paths() -> (String, String) {
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
-    let prog = write_temp("prog.asm", PROG);
+fn fixture_paths(test: &str) -> (String, String) {
+    let machine = write_temp(test, "acc16.isdl", isdl::samples::ACC16);
+    let prog = write_temp(test, "prog.asm", PROG);
     (machine.to_str().expect("utf8 path").to_owned(), prog.to_str().expect("utf8 path").to_owned())
 }
 
 #[test]
 fn stats_report_matches_documented_invariants() {
-    let (machine, prog) = fixture_paths();
+    let (machine, prog) = fixture_paths("stats_report_matches_documented_invariants");
     let (stdout, stderr, ok) = xsim(&[&machine, &prog, "--stats", "-"]);
     assert!(ok, "stderr: {stderr}");
     let json = Json::parse(&stdout).expect("stdout is pure JSON");
@@ -72,8 +75,8 @@ fn stats_report_matches_documented_invariants() {
 
 #[test]
 fn trace_report_is_written_to_file() {
-    let (machine, prog) = fixture_paths();
-    let out = write_temp("trace_out.json", "");
+    let (machine, prog) = fixture_paths("trace_report_is_written_to_file");
+    let out = write_temp("trace_report_is_written_to_file", "trace_out.json", "");
     let out_path = out.to_str().expect("utf8 path");
     let (stdout, stderr, ok) =
         xsim(&[&machine, &prog, "--trace", out_path, "--trace-capacity", "2"]);
@@ -100,14 +103,18 @@ fn ring_eviction_keeps_the_exact_tail_and_round_trips() {
     // ring: exactly the last four events survive, the `dropped` counter
     // accounts for every evicted one, and the same run through the
     // streaming sink loses nothing.
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let machine = write_temp(
+        "ring_eviction_keeps_the_exact_tail_and_round_trips",
+        "acc16.isdl",
+        isdl::samples::ACC16,
+    );
     let machine = machine.to_str().expect("utf8 path");
     let mut src = String::from("ldi 0\n");
     for _ in 0..10 {
         src.push_str("addm ten\n");
     }
     src.push_str("halt\n.data\n.org 20\nten: .word 10\n");
-    let prog = write_temp("long.asm", &src);
+    let prog = write_temp("ring_eviction_keeps_the_exact_tail_and_round_trips", "long.asm", &src);
     let prog = prog.to_str().expect("utf8 path");
 
     let (stdout, stderr, ok) = xsim(&[machine, prog, "--trace", "-", "--trace-capacity", "4"]);
@@ -142,11 +149,16 @@ fn ring_eviction_keeps_the_exact_tail_and_round_trips() {
 fn fuel_budget_terminates_a_looping_program() {
     // A program that never halts must still terminate under a fuel
     // budget, reporting exactly how far it got.
-    let machine = write_temp("acc16.isdl", isdl::samples::ACC16);
+    let machine =
+        write_temp("fuel_budget_terminates_a_looping_program", "acc16.isdl", isdl::samples::ACC16);
     let machine = machine.to_str().expect("utf8 path");
     // A single self-jump is the `end: jmp end` halt idiom; two jumps
     // ping-ponging is a genuine infinite loop.
-    let prog = write_temp("spin.asm", "spin: jmp spin2\nspin2: jmp spin\n");
+    let prog = write_temp(
+        "fuel_budget_terminates_a_looping_program",
+        "spin.asm",
+        "spin: jmp spin2\nspin2: jmp spin\n",
+    );
     let prog = prog.to_str().expect("utf8 path");
 
     let (stdout, stderr, ok) = xsim(&[machine, prog, "--fuel", "25", "--stats", "-"]);
@@ -168,7 +180,7 @@ fn bad_usage_fails_cleanly() {
     let (_, stderr, ok) = xsim(&[]);
     assert!(!ok);
     assert!(stderr.contains("usage:"), "{stderr}");
-    let (machine, prog) = fixture_paths();
+    let (machine, prog) = fixture_paths("bad_usage_fails_cleanly");
     let (_, stderr, ok) = xsim(&[&machine, &prog, "--frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"), "{stderr}");
@@ -179,7 +191,7 @@ fn bad_usage_fails_cleanly() {
 
 #[test]
 fn core_choice_does_not_change_the_stats() {
-    let (machine, prog) = fixture_paths();
+    let (machine, prog) = fixture_paths("core_choice_does_not_change_the_stats");
     let run = |extra: &[&str]| {
         let mut args = vec![machine.as_str(), prog.as_str(), "--stats", "-"];
         args.extend_from_slice(extra);
