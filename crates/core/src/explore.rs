@@ -21,7 +21,7 @@
 use crate::compiler::Kernel;
 use crate::eval::{evaluate_contained, EvalError, EvalOptions, Evaluation, Metrics, SimBudget};
 use crate::fault::FaultPlan;
-use crate::journal::{strategy_name, JournalError, JournalWriter, Replay};
+use crate::journal::{JournalError, JournalWriter, Replay};
 use crate::watchdog::Deadline;
 use hgen::HgenOptions;
 use isdl::model::{Constraint, FieldId, Machine, NtId, OpRef};
@@ -630,11 +630,13 @@ impl Default for RetryPolicy {
     }
 }
 
-/// How the candidate space is searched.
+/// How the candidate space is searched. Both strategies run the same
+/// round loop; they differ only in how many candidates it carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Strategy {
     /// Steepest-descent hill climbing: evaluate every neighbour, take
     /// the best improving one (the paper's "iterative improvement").
+    /// Exactly [`Strategy::Beam`] of width 1.
     Greedy,
     /// Beam search: carry the `width` best candidates forward each
     /// round, which can climb out of single-mutation dead ends at the
@@ -645,13 +647,23 @@ pub enum Strategy {
     },
 }
 
+impl Strategy {
+    /// Candidates carried between rounds: 1 for greedy.
+    pub(crate) fn width(self) -> usize {
+        match self {
+            Self::Greedy => 1,
+            Self::Beam { width } => width.max(1),
+        }
+    }
+}
+
 /// A live-progress sink: heartbeat lines are written under the mutex,
 /// so one sink may be shared between the JSONL and human streams (or
 /// with the caller's own logging).
 pub type ProgressSink = Arc<Mutex<dyn std::io::Write + Send>>;
 
 /// Live exploration telemetry: heartbeat cadence and where the beats
-/// go. A heartbeat is emitted at the first greedy round boundary after
+/// go. A heartbeat is emitted at the first round boundary after
 /// [`Progress::interval_ms`] elapses (`0` = every round) — the cadence
 /// rides the [`crate::watchdog`] timer, so no extra thread is spawned
 /// and a beat never lands mid-round. Each beat carries the round
@@ -697,7 +709,7 @@ pub struct Explorer {
     pub objective: Objective,
     /// HGEN configuration used for every evaluation.
     pub hgen: HgenOptions,
-    /// Maximum accepted improvement steps (rounds, for beam search).
+    /// Maximum frontier rounds; each accepts at most one step.
     pub max_steps: usize,
     /// Search strategy.
     pub strategy: Strategy,
@@ -734,7 +746,7 @@ pub struct Explorer {
     /// cached, never journaled (see [`crate::watchdog`]).
     pub deadline_ms: u64,
     /// Cooperative shutdown flag (armed by a signal handler in
-    /// `isdlc`). When it flips to `true`, a greedy run finishes the
+    /// `isdlc`). When it flips to `true`, the run finishes the
     /// in-flight round — including its journal checkpoint — and
     /// returns early without writing the journal's `done` event, so
     /// [`Explorer::resume`] continues bit-identically. `None` in
@@ -742,8 +754,7 @@ pub struct Explorer {
     pub shutdown: Option<Arc<AtomicBool>>,
     /// Live heartbeat telemetry (see [`Progress`]). `None` — the
     /// default — emits nothing and reads no extra clocks. Applies to
-    /// the greedy round loop (fresh, journaled, and resumed runs
-    /// alike); beam search currently emits no heartbeats.
+    /// every run: fresh, journaled, and resumed, at any beam width.
     pub progress: Option<Progress>,
 }
 
@@ -1018,16 +1029,49 @@ impl Counters {
     }
 }
 
-/// Everything the greedy round loop carries between rounds — built
-/// fresh by [`Explorer::greedy_run`], or reconstructed from a journal
-/// by [`Explorer::resume`].
-struct GreedyState {
-    current: Machine,
-    current_eval: Evaluation,
-    score: f64,
+/// Everything the round loop carries between rounds — built fresh by
+/// [`Explorer::start`], or restored from a journal by
+/// [`Explorer::restore`].
+struct State {
+    /// The beam, best first, each machine with its evaluation: the
+    /// machine the last accepted step moved to, then up to `width - 1`
+    /// runners-up from the same round.
+    beam: Vec<(Machine, Evaluation)>,
     steps: Vec<Step>,
     rounds: Vec<FrontierRound>,
     counters: Counters,
+}
+
+impl State {
+    /// The score a round must beat: the last accepted step's.
+    fn score(&self) -> f64 {
+        self.steps.last().expect("the initial step is always recorded").score
+    }
+
+    /// The one place a [`Trace`] is assembled.
+    fn into_trace(self, robs: &RunObs) -> Trace {
+        let Counters {
+            evaluated,
+            cache_hits,
+            skipped_errors,
+            first_error,
+            attempts,
+            retried,
+            error_histogram,
+        } = self.counters;
+        Trace {
+            steps: self.steps,
+            machine: self.beam.into_iter().next().expect("the beam is never empty").0,
+            evaluated,
+            cache_hits,
+            skipped_errors,
+            first_error,
+            attempts,
+            retried,
+            error_histogram,
+            obs: robs.finish(self.rounds),
+        }
+    }
 }
 
 /// Writes `text` to `path` atomically: the content lands in a sibling
@@ -1095,10 +1139,11 @@ impl Explorer {
         kernels: &[Kernel],
         cache: &EvalCache,
     ) -> Result<Trace, EvalError> {
-        match self.strategy {
-            Strategy::Greedy => self.run_greedy(start, kernels, cache),
-            Strategy::Beam { width } => self.run_beam(start, kernels, width.max(1), cache),
-        }
+        self.start(start, kernels, cache, None).map_err(|e| match e {
+            JournalError::Eval(e) => e,
+            // Unreachable without a journal sink, but keep the message.
+            other => EvalError::Journaled(other.to_string()),
+        })
     }
 
     /// Resolves the worker count for a frontier of `work` candidates.
@@ -1229,35 +1274,8 @@ impl Explorer {
         FrontierEval { outcomes, first_occurrence, fresh, committed, attempts, errors }
     }
 
-    /// Evaluates a single machine through the cache, updating counters.
-    fn eval_one(
-        &self,
-        cache: &EvalCache,
-        kernels: &[Kernel],
-        machine: &Machine,
-        counters: &mut Counters,
-        robs: &RunObs,
-    ) -> Result<Evaluation, EvalError> {
-        let fe = self.eval_frontier(cache, kernels, std::slice::from_ref(machine), robs);
-        counters.absorb(&fe, 1);
-        fe.outcomes.into_iter().next().expect("one candidate, one outcome")
-    }
-
-    fn run_greedy(
-        &self,
-        start: &Machine,
-        kernels: &[Kernel],
-        cache: &EvalCache,
-    ) -> Result<Trace, EvalError> {
-        self.greedy_run(start, kernels, cache, None).map_err(|e| match e {
-            JournalError::Eval(e) => e,
-            // Unreachable without a journal sink, but keep the message.
-            other => EvalError::Journaled(other.to_string()),
-        })
-    }
-
-    /// Runs a greedy exploration exactly like [`Explorer::run_cached`],
-    /// additionally streaming an `archex-journal/1` checkpoint journal
+    /// Runs an exploration exactly like [`Explorer::run_cached`],
+    /// additionally streaming an `archex-journal/2` checkpoint journal
     /// to `sink` — one JSON line per completed round (see
     /// `docs/ROBUSTNESS.md`). A run killed at any point leaves a
     /// journal from which [`Explorer::resume`] continues bit-exactly.
@@ -1265,8 +1283,7 @@ impl Explorer {
     /// # Errors
     ///
     /// [`JournalError::Eval`] if the starting candidate cannot be
-    /// evaluated, [`JournalError::Io`] if writing a journal line fails,
-    /// [`JournalError::Unsupported`] for beam search.
+    /// evaluated, [`JournalError::Io`] if writing a journal line fails.
     pub fn run_journaled(
         &self,
         start: &Machine,
@@ -1274,31 +1291,21 @@ impl Explorer {
         cache: &EvalCache,
         sink: &mut dyn std::io::Write,
     ) -> Result<Trace, JournalError> {
-        match self.strategy {
-            Strategy::Greedy => {
-                let mut writer = JournalWriter::new(sink);
-                self.greedy_run(start, kernels, cache, Some(&mut writer))
-            }
-            Strategy::Beam { .. } => Err(JournalError::Unsupported(format!(
-                "journaling is not supported for strategy `{}`; supported strategies: greedy",
-                strategy_name(&self.strategy)
-            ))),
-        }
+        self.start(start, kernels, cache, Some(&mut JournalWriter::new(sink)))
     }
 
     /// Resumes an exploration from a journal written by
     /// [`Explorer::run_journaled`]: validates the journal against this
     /// explorer and `start`, preloads `cache` with every journaled
-    /// evaluation, restores the accepted steps and run counters, and
-    /// continues from the last completed round. The resulting
+    /// evaluation, restores the accepted steps, beam, and run counters,
+    /// and continues from the last completed round. The resulting
     /// [`Trace`] is [`Trace::semantic_eq`] to the one the uninterrupted
     /// run would have produced.
     ///
     /// # Errors
     ///
     /// [`JournalError::Parse`] / [`JournalError::Mismatch`] when the
-    /// journal is malformed or belongs to a different run,
-    /// [`JournalError::Unsupported`] for beam search.
+    /// journal is malformed or belongs to a different run.
     pub fn resume(
         &self,
         start: &Machine,
@@ -1306,59 +1313,10 @@ impl Explorer {
         cache: &EvalCache,
         journal: &str,
     ) -> Result<Trace, JournalError> {
-        if !matches!(self.strategy, Strategy::Greedy) {
-            return Err(JournalError::Unsupported(format!(
-                "resume is not supported for strategy `{}`; supported strategies: greedy",
-                strategy_name(&self.strategy)
-            )));
-        }
         let replay = Replay::parse(journal, self, start)?;
-        for (key, outcome) in &replay.entries {
-            cache.insert(key.clone(), outcome.clone());
-        }
-        let robs = RunObs::new(self);
-        if replay.finished || replay.rounds.len() >= self.max_steps {
-            return Ok(Trace {
-                steps: replay.steps,
-                machine: replay.current,
-                evaluated: replay.evaluated,
-                cache_hits: replay.cache_hits,
-                skipped_errors: replay.skipped_errors,
-                first_error: replay.first_error,
-                attempts: replay.attempts,
-                retried: replay.retried,
-                error_histogram: replay.error_histogram,
-                obs: robs.finish(replay.rounds),
-            });
-        }
-        let current_eval = match cache.get(&EvalCache::key(&replay.current)) {
-            Some(Ok(ev)) => ev,
-            _ => {
-                return Err(JournalError::Mismatch(
-                    "journal's current machine has no cached evaluation".to_owned(),
-                ))
-            }
-        };
-        let remaining = self.max_steps - replay.rounds.len();
-        let state = GreedyState {
-            score: replay.steps.last().map_or(f64::INFINITY, |s| s.score),
-            current: replay.current,
-            current_eval,
-            steps: replay.steps,
-            rounds: replay.rounds,
-            counters: Counters {
-                evaluated: replay.evaluated,
-                cache_hits: replay.cache_hits,
-                skipped_errors: replay.skipped_errors,
-                first_error: replay.first_error,
-                attempts: replay.attempts,
-                retried: replay.retried,
-                error_histogram: replay.error_histogram,
-            },
-        };
         // The resumed tail is not re-journaled: the journal already
         // records the prefix, and the caller still holds it.
-        self.greedy_loop(state, kernels, cache, &robs, remaining, None)
+        self.restore(replay, kernels, cache, None)
     }
 
     /// Continues a journaled exploration across process restarts. When
@@ -1390,77 +1348,25 @@ impl Explorer {
         journal_text: &str,
         sink: &mut dyn std::io::Write,
     ) -> Result<Trace, JournalError> {
-        if !matches!(self.strategy, Strategy::Greedy) {
-            return Err(JournalError::Unsupported(format!(
-                "resume is not supported for strategy `{}`; supported strategies: greedy",
-                strategy_name(&self.strategy)
-            )));
-        }
         let Some(replay) = Replay::parse_partial(journal_text, self, start)? else {
             return self.run_journaled(start, kernels, cache, sink);
         };
-        for (key, outcome) in &replay.entries {
-            cache.insert(key.clone(), outcome.clone());
-        }
         let io_err = |e: std::io::Error| JournalError::Io(e.to_string());
         let mut checkpoint: Vec<u8> = Vec::new();
         let prefix_lines = {
             let mut w = JournalWriter::new(&mut checkpoint);
             w.header(self, start)?;
-            w.snapshot_replay(&replay)?;
+            w.snapshot(&replay)?;
             w.lines_written()
         };
         sink.write_all(&checkpoint).map_err(io_err)?;
         sink.flush().map_err(io_err)?;
-        let mut writer = JournalWriter::resuming(sink, prefix_lines);
-
-        let robs = RunObs::new(self);
-        if replay.finished || replay.rounds.len() >= self.max_steps {
-            writer.done()?;
-            return Ok(Trace {
-                steps: replay.steps,
-                machine: replay.current,
-                evaluated: replay.evaluated,
-                cache_hits: replay.cache_hits,
-                skipped_errors: replay.skipped_errors,
-                first_error: replay.first_error,
-                attempts: replay.attempts,
-                retried: replay.retried,
-                error_histogram: replay.error_histogram,
-                obs: robs.finish(replay.rounds),
-            });
-        }
-        let current_eval = match cache.get(&EvalCache::key(&replay.current)) {
-            Some(Ok(ev)) => ev,
-            _ => {
-                return Err(JournalError::Mismatch(
-                    "journal's current machine has no cached evaluation".to_owned(),
-                ))
-            }
-        };
-        let remaining = self.max_steps - replay.rounds.len();
-        let state = GreedyState {
-            score: replay.steps.last().map_or(f64::INFINITY, |s| s.score),
-            current: replay.current,
-            current_eval,
-            steps: replay.steps,
-            rounds: replay.rounds,
-            counters: Counters {
-                evaluated: replay.evaluated,
-                cache_hits: replay.cache_hits,
-                skipped_errors: replay.skipped_errors,
-                first_error: replay.first_error,
-                attempts: replay.attempts,
-                retried: replay.retried,
-                error_histogram: replay.error_histogram,
-            },
-        };
-        self.greedy_loop(state, kernels, cache, &robs, remaining, Some(&mut writer))
+        self.restore(replay, kernels, cache, Some(&mut JournalWriter::resuming(sink, prefix_lines)))
     }
 
-    /// The full greedy run: initial evaluation (journaled as the `init`
-    /// event), then [`Explorer::greedy_loop`].
-    fn greedy_run(
+    /// A fresh run: the starting candidate's evaluation (journaled as
+    /// the `init` event), then [`Explorer::search`].
+    fn start(
         &self,
         start: &Machine,
         kernels: &[Kernel],
@@ -1475,36 +1381,73 @@ impl Explorer {
         let fe = self.eval_frontier(cache, kernels, std::slice::from_ref(start), &robs);
         counters.absorb(&fe, 1);
         let FrontierEval { outcomes, committed, .. } = fe;
-        let current_eval = outcomes.into_iter().next().expect("one candidate, one outcome")?;
-        let score = self.objective.score(&current_eval.metrics);
+        let eval = outcomes.into_iter().next().expect("one candidate, one outcome")?;
         let initial = Step {
             action: "initial".to_owned(),
-            metrics: current_eval.metrics.clone(),
-            score,
-            profile: current_eval.profile.clone(),
+            metrics: eval.metrics.clone(),
+            score: self.objective.score(&eval.metrics),
+            profile: eval.profile.clone(),
         };
         if let Some(j) = journal.as_deref_mut() {
             j.init(&counters, &committed, &initial)?;
         }
-        let state = GreedyState {
-            current: start.clone(),
-            current_eval,
-            score,
+        let st = State {
+            beam: vec![(start.clone(), eval)],
             steps: vec![initial],
             rounds: Vec::new(),
             counters,
         };
-        self.greedy_loop(state, kernels, cache, &robs, self.max_steps, journal)
+        self.search(st, kernels, cache, &robs, journal)
     }
 
-    /// The greedy round loop, shared by fresh and resumed runs.
-    fn greedy_loop(
+    /// The one `Replay → State` conversion: preloads `cache` with the
+    /// journaled entries, looks up every beam member's evaluation, and
+    /// continues with [`Explorer::search`] — or, when the journaled
+    /// run had already finished, just closes the journal.
+    fn restore(
         &self,
-        mut st: GreedyState,
+        replay: Replay,
+        kernels: &[Kernel],
+        cache: &EvalCache,
+        journal: Option<&mut JournalWriter>,
+    ) -> Result<Trace, JournalError> {
+        let Replay { steps, rounds, counters, entries, beam, finished } = replay;
+        for (key, outcome) in entries {
+            cache.insert(key, outcome);
+        }
+        let beam = beam
+            .into_iter()
+            .map(|m| match cache.get(&EvalCache::key(&m)) {
+                Some(Ok(ev)) => Ok((m, ev)),
+                _ => Err(JournalError::Mismatch(
+                    "a journaled beam machine has no cached evaluation".to_owned(),
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        let st = State { beam, steps, rounds, counters };
+        let robs = RunObs::new(self);
+        if finished {
+            if let Some(j) = journal {
+                j.done()?;
+            }
+            return Ok(st.into_trace(&robs));
+        }
+        self.search(st, kernels, cache, &robs, journal)
+    }
+
+    /// The round loop of Figure 1, shared by fresh and resumed runs at
+    /// every beam width. Each round proposes from every beam member in
+    /// beam order, evaluates the frontier, and keeps the `width` best
+    /// distinct candidates. It accepts only when the best beats the
+    /// last accepted step; otherwise the run ends with the beam
+    /// unchanged. Greedy is width 1: the stable sort makes the earliest
+    /// strictly-best candidate win, exactly as in a serial scan.
+    fn search(
+        &self,
+        mut st: State,
         kernels: &[Kernel],
         cache: &EvalCache,
         robs: &RunObs,
-        remaining: usize,
         mut journal: Option<&mut JournalWriter>,
     ) -> Result<Trace, JournalError> {
         // Heartbeat cadence rides the shared watchdog timer: a beat
@@ -1513,26 +1456,31 @@ impl Explorer {
         let mut next_beat = self.progress.as_ref().and_then(|p| {
             (p.interval_ms > 0).then(|| Deadline::arm(Duration::from_millis(p.interval_ms)))
         });
-        for _ in 0..remaining {
+        while st.rounds.len() < self.max_steps {
             // Cooperative shutdown lands only on round boundaries: the
             // in-flight round always completes (and journals its
             // checkpoint), and the `done` event is deliberately not
             // written, so the journal resumes from exactly here.
             if self.shutdown.as_ref().is_some_and(|f| f.load(Ordering::Relaxed)) {
-                return Ok(Self::greedy_trace(st, robs));
+                return Ok(st.into_trace(robs));
             }
             let round_t0 = robs.registry.enabled().then(Instant::now);
-            let (actions, machines): (Vec<String>, Vec<Machine>) = self
-                .propose(&st.current, &st.current_eval)
-                .into_iter()
-                .filter_map(|m| apply_mutation(&st.current, &m).map(|c| (m.to_string(), c)))
+            let (actions, machines): (Vec<String>, Vec<Machine>) = st
+                .beam
+                .iter()
+                .flat_map(|(machine, ev)| {
+                    self.propose(machine, ev)
+                        .into_iter()
+                        .filter_map(|m| apply_mutation(machine, &m).map(|c| (m.to_string(), c)))
+                })
                 .unzip();
             let fe = self.eval_frontier(cache, kernels, &machines, robs);
             if let Some(t0) = round_t0 {
                 robs.push_span(format!("round {}", st.rounds.len()), "explore", 0, t0);
             }
             st.counters.absorb(&fe, machines.len());
-            st.rounds.push(fe.round());
+            let round = fe.round();
+            st.rounds.push(round.clone());
             if let Some(p) = &self.progress {
                 if next_beat.as_ref().is_none_or(Deadline::expired) {
                     self.heartbeat(p, &st, cache, robs, machines.len());
@@ -1541,56 +1489,50 @@ impl Explorer {
                     }
                 }
             }
-            let FrontierEval { outcomes, committed, .. } = fe;
+            let FrontierEval { outcomes, first_occurrence, committed, .. } = fe;
 
-            // Serial reduction in proposal order: the earliest
-            // strictly-best improvement wins, exactly as in a serial
-            // scan.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, outcome) in outcomes.iter().enumerate() {
+            // Serial reduction in proposal order. Different parents
+            // often reach the same machine; only its first occurrence
+            // competes, so duplicates never take beam slots.
+            let mut frontier: Vec<(f64, String, Machine, Evaluation)> = Vec::new();
+            let candidates = actions.into_iter().zip(machines).zip(outcomes).zip(first_occurrence);
+            for (((action, machine), outcome), first) in candidates {
                 match outcome {
-                    Ok(ev) => {
-                        let s = self.objective.score(&ev.metrics);
-                        if s < st.score - 1e-9 && best.is_none_or(|(_, bs)| s < bs) {
-                            best = Some((i, s));
-                        }
+                    Ok(ev) if first => {
+                        frontier.push((self.objective.score(&ev.metrics), action, machine, ev));
                     }
-                    Err(e) => st.counters.skip(&actions[i], e),
+                    Ok(_) => {}
+                    Err(e) => st.counters.skip(&action, &e),
                 }
             }
-            let Some((i, s)) = best else {
+            frontier.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            frontier.truncate(self.strategy.width());
+            if !frontier.first().is_some_and(|(s, ..)| *s < st.score() - 1e-9) {
                 if let Some(j) = journal.as_deref_mut() {
-                    let round = st.rounds.last().expect("round just pushed");
-                    j.round(round, &st.counters, &committed, None)?;
+                    j.round(&round, &st.counters, &committed, None)?;
                     j.done()?;
                 }
-                return Ok(Self::greedy_trace(st, robs));
-            };
-            let Ok(ev) = outcomes.into_iter().nth(i).expect("index in range") else {
-                unreachable!("best candidate came from an Ok outcome");
-            };
+                return Ok(st.into_trace(robs));
+            }
+            let (score, action, _, ev) = &frontier[0];
             let step = Step {
-                action: actions[i].clone(),
+                action: action.clone(),
                 metrics: ev.metrics.clone(),
-                score: s,
+                score: *score,
                 profile: ev.profile.clone(),
             };
-            let machine = machines.into_iter().nth(i).expect("index in range");
+            st.beam = frontier.into_iter().map(|(_, _, m, ev)| (m, ev)).collect();
             // The round line lands only after the round fully resolved —
             // a kill before this point simply loses the round.
             if let Some(j) = journal.as_deref_mut() {
-                let round = st.rounds.last().expect("round just pushed");
-                j.round(round, &st.counters, &committed, Some((&step, &machine)))?;
+                j.round(&round, &st.counters, &committed, Some((&step, &st.beam)))?;
             }
             st.steps.push(step);
-            st.current = machine;
-            st.current_eval = ev;
-            st.score = s;
         }
         if let Some(j) = journal {
             j.done()?;
         }
-        Ok(Self::greedy_trace(st, robs))
+        Ok(st.into_trace(robs))
     }
 
     /// Emits one progress heartbeat: an `archex-progress/1` JSONL line,
@@ -1601,7 +1543,7 @@ impl Explorer {
     fn heartbeat(
         &self,
         p: &Progress,
-        st: &GreedyState,
+        st: &State,
         cache: &EvalCache,
         robs: &RunObs,
         frontier: usize,
@@ -1635,7 +1577,7 @@ impl Explorer {
             .with("evals_per_s", evals_per_s)
             .with("retried", st.counters.retried)
             .with("errors", errors)
-            .with("score", st.score)
+            .with("score", st.score())
             .with("elapsed_s", elapsed_s)
             .with("eta_s", eta_s);
         if let Some(sink) = &p.jsonl {
@@ -1662,109 +1604,6 @@ impl Explorer {
         if let Some(path) = &p.metrics_out {
             let _ = write_atomic(path, &obs::prom::render(&robs.registry.snapshot()));
         }
-    }
-
-    fn greedy_trace(st: GreedyState, robs: &RunObs) -> Trace {
-        Trace {
-            steps: st.steps,
-            machine: st.current,
-            evaluated: st.counters.evaluated,
-            cache_hits: st.counters.cache_hits,
-            skipped_errors: st.counters.skipped_errors,
-            first_error: st.counters.first_error,
-            attempts: st.counters.attempts,
-            retried: st.counters.retried,
-            error_histogram: st.counters.error_histogram,
-            obs: robs.finish(st.rounds),
-        }
-    }
-
-    fn run_beam(
-        &self,
-        start: &Machine,
-        kernels: &[Kernel],
-        width: usize,
-        cache: &EvalCache,
-    ) -> Result<Trace, EvalError> {
-        let mut counters = Counters::default();
-        let robs = RunObs::new(self);
-        let mut rounds = Vec::new();
-        let initial_eval = self.eval_one(cache, kernels, start, &mut counters, &robs)?;
-        let initial_score = self.objective.score(&initial_eval.metrics);
-        let mut steps = vec![Step {
-            action: "initial".to_owned(),
-            metrics: initial_eval.metrics.clone(),
-            score: initial_score,
-            profile: initial_eval.profile.clone(),
-        }];
-        // (machine, eval, score, action that produced it)
-        let mut beam = vec![(start.clone(), initial_eval, initial_score, String::new())];
-        let mut best = 0usize; // index into beam of the overall best
-
-        for _ in 0..self.max_steps {
-            let round_t0 = robs.registry.enabled().then(Instant::now);
-            let (actions, machines): (Vec<String>, Vec<Machine>) = beam
-                .iter()
-                .flat_map(|(machine, ev, _, _)| {
-                    self.propose(machine, ev)
-                        .into_iter()
-                        .filter_map(|m| apply_mutation(machine, &m).map(|c| (m.to_string(), c)))
-                })
-                .unzip();
-            let fe = self.eval_frontier(cache, kernels, &machines, &robs);
-            if let Some(t0) = round_t0 {
-                robs.push_span(format!("round {}", rounds.len()), "explore", 0, t0);
-            }
-            counters.absorb(&fe, machines.len());
-            rounds.push(fe.round());
-
-            // Keep the first occurrence of every structure: different
-            // parents frequently reach the same machine, and clones
-            // would waste beam slots on one lineage.
-            let mut frontier: Vec<(Machine, Evaluation, f64, String)> = Vec::new();
-            for (i, (action, machine)) in actions.into_iter().zip(machines).enumerate() {
-                match &fe.outcomes[i] {
-                    Ok(ev) if fe.first_occurrence[i] => {
-                        let s = self.objective.score(&ev.metrics);
-                        frontier.push((machine, ev.clone(), s, action));
-                    }
-                    Ok(_) => {} // within-frontier duplicate, deduped
-                    Err(e) => counters.skip(&action, e),
-                }
-            }
-            if frontier.is_empty() {
-                break;
-            }
-            frontier.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
-            frontier.truncate(width);
-            let round_best = frontier[0].2;
-            let current_best = beam[best].2;
-            beam = frontier;
-            best = 0;
-            if round_best < current_best - 1e-9 {
-                steps.push(Step {
-                    action: beam[0].3.clone(),
-                    metrics: beam[0].1.metrics.clone(),
-                    score: round_best,
-                    profile: beam[0].1.profile.clone(),
-                });
-            } else {
-                break;
-            }
-        }
-        let (machine, _, _, _) = beam.swap_remove(best);
-        Ok(Trace {
-            steps,
-            machine,
-            evaluated: counters.evaluated,
-            cache_hits: counters.cache_hits,
-            skipped_errors: counters.skipped_errors,
-            first_error: counters.first_error,
-            attempts: counters.attempts,
-            retried: counters.retried,
-            error_histogram: counters.error_histogram,
-            obs: robs.finish(rounds),
-        })
     }
 
     /// Proposes mutations guided by the utilization statistics.

@@ -5,7 +5,8 @@
 //! completed unit of work to a caller-supplied sink:
 //!
 //! 1. a **header** identifying the schema, the starting machine (by
-//!    structural hash), and the explorer configuration;
+//!    structural hash), and the explorer configuration (a beam run's
+//!    header also records its `width`);
 //! 2. an **`init`** event with the initial candidate's accepted step
 //!    and any cache entry it created;
 //! 3. one **`round`** event per completed frontier round, carrying the
@@ -13,7 +14,9 @@
 //!    counters, every cache entry committed during the round (key =
 //!    canonical ISDL text, outcome = full evaluation or rendered
 //!    error), and the accepted step with the full ISDL text of the
-//!    machine it moved to (`null` when no candidate improved);
+//!    machine it moved to (`null` when no candidate improved) — plus,
+//!    when the beam holds more than one machine, the runners-up under
+//!    `beam`;
 //! 4. a final **`done`** event.
 //!
 //! # Line integrity (`/2`)
@@ -38,14 +41,14 @@
 //!
 //! A **`snapshot`** event (written by [`compact`]) collapses an entire
 //! journal prefix — steps, rounds, counters, cache entries, and the
-//! current machine — into one resumable line.
+//! beam — into one resumable line.
 //!
 //! The `/1` reader is retained: journals written before the envelope
 //! existed still parse (with only torn-final-line protection) and
 //! resume bit-identically.
 //!
 //! [`crate::Explorer::resume`] replays the journal — preloading the
-//! evaluation cache, restoring steps, rounds, and counters — and
+//! evaluation cache, restoring steps, rounds, counters, and the beam — and
 //! continues the run, producing a final [`crate::Trace`] that is
 //! `semantic_eq` to the uninterrupted run's.
 //!
@@ -73,9 +76,6 @@ pub const JOURNAL_SCHEMA_V1: &str = "archex-journal/1";
 /// Why journaling or resuming failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalError {
-    /// The requested operation is not available for this configuration
-    /// (journaling currently supports [`Strategy::Greedy`] only).
-    Unsupported(String),
     /// Writing a journal line failed.
     Io(String),
     /// A complete journal line failed to parse (1-based line number).
@@ -105,7 +105,6 @@ pub enum JournalError {
 impl fmt::Display for JournalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Unsupported(m) => write!(f, "journaling unsupported: {m}"),
             Self::Io(m) => write!(f, "journal write failed: {m}"),
             Self::Parse { line, message } => {
                 write!(f, "journal line {line} does not parse: {message}")
@@ -150,8 +149,8 @@ fn start_hash(machine: &Machine) -> String {
     format!("{:016x}", EvalCache::structural_hash(machine))
 }
 
-/// The journal spelling of a strategy (also used by diagnostics).
-pub(crate) fn strategy_name(s: &Strategy) -> &'static str {
+/// The journal spelling of a strategy.
+fn strategy_name(s: &Strategy) -> &'static str {
     match s {
         Strategy::Greedy => "greedy",
         Strategy::Beam { .. } => "beam",
@@ -254,6 +253,19 @@ fn round_to_json(r: &FrontierRound) -> Json {
         .with("cache_hits", r.cache_hits)
 }
 
+/// Appends the beam to an event object as canonical ISDL: its best
+/// machine under `machine` (`null` for an empty beam) and, only when it
+/// holds more than one, the runners-up under `beam`.
+fn with_beam<'m>(j: Json, mut beam: impl Iterator<Item = &'m Machine>) -> Json {
+    let j = j.with("machine", beam.next().map_or(Json::Null, |m| isdl::printer::print(m).into()));
+    let rest: Vec<Json> = beam.map(|m| isdl::printer::print(m).into()).collect();
+    if rest.is_empty() {
+        j
+    } else {
+        j.with("beam", Json::Arr(rest))
+    }
+}
+
 /// Appends the cumulative run counters to an event object.
 fn with_counters(j: Json, c: &Counters) -> Json {
     let mut histogram = Json::obj();
@@ -318,10 +330,14 @@ impl<'a> JournalWriter<'a> {
         explorer: &Explorer,
         start: &Machine,
     ) -> Result<(), JournalError> {
-        let j = Json::obj()
+        let mut j = Json::obj()
             .with("schema", JOURNAL_SCHEMA)
             .with("machine", start.name.as_str())
-            .with("strategy", strategy_name(&explorer.strategy))
+            .with("strategy", strategy_name(&explorer.strategy));
+        if let Strategy::Beam { .. } = explorer.strategy {
+            j.insert("width", explorer.strategy.width());
+        }
+        let j = j
             .with("max_steps", explorer.max_steps)
             .with("max_attempts", explorer.retry.max_attempts)
             .with(
@@ -352,7 +368,7 @@ impl<'a> JournalWriter<'a> {
         round: &FrontierRound,
         counters: &Counters,
         entries: &JournalEntries,
-        accepted: Option<(&Step, &Machine)>,
+        accepted: Option<(&Step, &[(Machine, Evaluation)])>,
     ) -> Result<(), JournalError> {
         let j = with_counters(
             Json::obj().with("event", "round").with("round", round_to_json(round)),
@@ -361,40 +377,22 @@ impl<'a> JournalWriter<'a> {
         .with("entries", entries_to_json(entries))
         .with(
             "accepted",
-            accepted.map_or(Json::Null, |(step, machine)| {
-                step_to_json(step).with("machine", isdl::printer::print(machine))
+            accepted.map_or(Json::Null, |(step, beam)| {
+                with_beam(step_to_json(step), beam.iter().map(|(m, _)| m))
             }),
         );
         self.write(&j)
     }
 
-    /// Writes a replayed [`Replay`] as one `snapshot` checkpoint — the
-    /// resumed-run prefix of a self-contained continuation journal.
-    pub(crate) fn snapshot_replay(&mut self, replay: &Replay) -> Result<(), JournalError> {
-        self.snapshot(&replay.to_core())
-    }
-
-    /// Writes the whole replayed state as one `snapshot` event (see
-    /// [`compact`]).
-    fn snapshot(&mut self, core: &ReplayCore) -> Result<(), JournalError> {
-        let counters = Counters {
-            evaluated: core.evaluated,
-            cache_hits: core.cache_hits,
-            skipped_errors: core.skipped_errors,
-            first_error: core.first_error.clone(),
-            attempts: core.attempts,
-            retried: core.retried,
-            error_histogram: core.error_histogram.clone(),
-        };
-        let j = with_counters(Json::obj().with("event", "snapshot"), &counters)
-            .with("steps", core.steps.iter().map(step_to_json).collect::<Json>())
-            .with("rounds", core.rounds.iter().map(round_to_json).collect::<Json>())
-            .with("entries", entries_to_json(&core.entries))
-            .with(
-                "machine",
-                core.current.as_ref().map_or(Json::Null, |m| Json::from(isdl::printer::print(m))),
-            )
-            .with("finished", Json::Bool(core.finished));
+    /// Writes the whole replayed state as one `snapshot` event: the
+    /// prefix of a resumed run's continuation journal, or the body of
+    /// a [`compact`]ed one.
+    pub(crate) fn snapshot(&mut self, replay: &Replay) -> Result<(), JournalError> {
+        let j = with_counters(Json::obj().with("event", "snapshot"), &replay.counters)
+            .with("steps", replay.steps.iter().map(step_to_json).collect::<Json>())
+            .with("rounds", replay.rounds.iter().map(round_to_json).collect::<Json>())
+            .with("entries", entries_to_json(&replay.entries));
+        let j = with_beam(j, replay.beam.iter()).with("finished", Json::Bool(replay.finished));
         self.write(&j)
     }
 
@@ -428,8 +426,8 @@ pub fn compact(journal: &str) -> Result<String, JournalError> {
             message: "missing `schema`".to_owned(),
         });
     }
-    let core = fold_events(events)?;
-    if core.steps.is_empty() {
+    let replay = fold_events(events)?;
+    if replay.steps.is_empty() {
         return Err(JournalError::Mismatch(
             "journal records no initial evaluation; nothing to compact".to_owned(),
         ));
@@ -438,7 +436,7 @@ pub fn compact(journal: &str) -> Result<String, JournalError> {
     let mut out: Vec<u8> = Vec::new();
     let mut writer = JournalWriter::new(&mut out);
     writer.write(&header)?;
-    writer.snapshot(&core)?;
+    writer.snapshot(&replay)?;
     Ok(String::from_utf8(out).expect("journal lines are UTF-8"))
 }
 
@@ -448,42 +446,21 @@ pub fn compact(journal: &str) -> Result<String, JournalError> {
 
 /// The state reconstructed from a journal: everything
 /// [`crate::Explorer::resume`] needs to continue (or finish) the run.
+#[derive(Default)]
 pub(crate) struct Replay {
     pub steps: Vec<Step>,
     pub rounds: Vec<FrontierRound>,
-    pub evaluated: usize,
-    pub cache_hits: usize,
-    pub skipped_errors: usize,
-    pub first_error: Option<String>,
-    pub attempts: usize,
-    pub retried: usize,
-    pub error_histogram: BTreeMap<String, usize>,
+    pub counters: Counters,
     /// Cache entries to preload, in journal order.
     pub entries: JournalEntries,
-    /// The machine the run had moved to.
-    pub current: Machine,
-    /// Whether the journaled run had already finished (a `done` event,
-    /// a round that accepted nothing, or `max_steps` rounds).
+    /// The beam the run had moved to, best first. Empty while the run
+    /// never moved off its start: [`Replay::parse_partial`] fills in
+    /// the starting machine, [`compact`] — which has none — keeps it
+    /// empty.
+    pub beam: Vec<Machine>,
+    /// Whether the journaled run had already finished (a `done` event
+    /// or a round that accepted nothing).
     pub finished: bool,
-}
-
-/// [`Replay`] before resolving against the starting machine: `current`
-/// is `None` while the run never moved off its start. This is what
-/// [`compact`] — which has no starting machine — works with.
-#[derive(Default)]
-struct ReplayCore {
-    steps: Vec<Step>,
-    rounds: Vec<FrontierRound>,
-    evaluated: usize,
-    cache_hits: usize,
-    skipped_errors: usize,
-    first_error: Option<String>,
-    attempts: usize,
-    retried: usize,
-    error_histogram: BTreeMap<String, usize>,
-    entries: JournalEntries,
-    current: Option<Machine>,
-    finished: bool,
 }
 
 fn get_usize(j: &Json, key: &str) -> Result<usize, String> {
@@ -613,15 +590,46 @@ fn round_from_json(r: &Json) -> Result<FrontierRound, String> {
     })
 }
 
-/// The `error_histogram` member, empty when absent (`/1` journals).
-fn histogram_from_json(j: &Json) -> BTreeMap<String, usize> {
-    match j.get("error_histogram") {
+/// The cumulative run counters of an `init`, `round`, or `snapshot`
+/// event. The fault counters postdate `/1` and default when absent, as
+/// do the skip counters `/1` `init` events lack (nothing is skipped
+/// before the first round).
+fn counters_from_json(j: &Json) -> Result<Counters, String> {
+    let evaluated = get_usize(j, "evaluated")?;
+    let error_histogram = match j.get("error_histogram") {
         Some(Json::Obj(members)) => members
             .iter()
             .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n as usize)))
             .collect(),
         _ => BTreeMap::new(),
+    };
+    Ok(Counters {
+        evaluated,
+        cache_hits: get_usize(j, "cache_hits")?,
+        skipped_errors: j.get_u64("skipped").map_or(0, |n| n as usize),
+        first_error: j.get_str("first_error").map(str::to_owned),
+        attempts: j.get_u64("attempts").map_or(evaluated, |n| n as usize),
+        retried: j.get_u64("retried").map_or(0, |n| n as usize),
+        error_histogram,
+    })
+}
+
+/// The beam [`with_beam`] wrote: empty for a `null` machine.
+fn beam_from_json(j: &Json) -> Result<Vec<Machine>, String> {
+    let load = |text: &Json| {
+        let text = text.as_str().ok_or("beam machine is not a string")?;
+        isdl::load(text).map_err(|e| format!("beam machine does not load: {e}"))
+    };
+    let mut beam = match j.get("machine") {
+        Some(Json::Null) | None => return Ok(Vec::new()),
+        Some(best) => vec![load(best)?],
+    };
+    if let Some(rest) = j.get("beam") {
+        for m in rest.as_arr().ok_or("`beam` is not an array")? {
+            beam.push(load(m)?);
+        }
     }
+    Ok(beam)
 }
 
 fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(), String> {
@@ -637,6 +645,15 @@ fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(
             "journal was written by a `{strategy}` run, this explorer is `{}`",
             strategy_name(&explorer.strategy)
         ));
+    }
+    if let Strategy::Beam { .. } = explorer.strategy {
+        let width = get_usize(header, "width")?;
+        if width != explorer.strategy.width() {
+            return Err(format!(
+                "journal beam width {width} != explorer {}",
+                explorer.strategy.width()
+            ));
+        }
     }
     let steps = get_usize(header, "max_steps")?;
     if steps != explorer.max_steps {
@@ -730,96 +747,60 @@ fn parse_lines(journal: &str) -> Result<Vec<(usize, Json)>, JournalError> {
     Ok(events)
 }
 
-/// Folds the event lines after the header into a [`ReplayCore`].
-fn fold_events(events: impl Iterator<Item = (usize, Json)>) -> Result<ReplayCore, JournalError> {
-    let mut core = ReplayCore::default();
+/// Folds the event lines after the header into a [`Replay`].
+fn fold_events(events: impl Iterator<Item = (usize, Json)>) -> Result<Replay, JournalError> {
+    let mut replay = Replay::default();
     for (line, j) in events {
         let fail = |message: String| JournalError::Parse { line, message };
+        let field = |key: &str| j.get(key).ok_or_else(|| fail(format!("missing `{key}`")));
         match j.get_str("event") {
             Some("init") => {
-                core.evaluated = get_usize(&j, "evaluated").map_err(fail)?;
-                core.cache_hits = get_usize(&j, "cache_hits").map_err(fail)?;
-                core.attempts = j.get_u64("attempts").map_or(core.evaluated, |n| n as usize);
-                core.retried = j.get_u64("retried").map_or(0, |n| n as usize);
-                core.error_histogram = histogram_from_json(&j);
-                core.entries.extend(entries_from_json(&j).map_err(fail)?);
-                core.steps.push(
-                    step_from_json(j.get("step").ok_or("missing `step`".to_owned()).map_err(fail)?)
-                        .map_err(fail)?,
-                );
+                replay.counters = counters_from_json(&j).map_err(fail)?;
+                replay.entries.extend(entries_from_json(&j).map_err(fail)?);
+                replay.steps.push(step_from_json(field("step")?).map_err(fail)?);
             }
             Some("round") => {
-                let r = j.get("round").ok_or("missing `round`".to_owned()).map_err(fail)?;
-                core.rounds.push(round_from_json(r).map_err(fail)?);
-                core.evaluated = get_usize(&j, "evaluated").map_err(fail)?;
-                core.cache_hits = get_usize(&j, "cache_hits").map_err(fail)?;
-                core.skipped_errors = get_usize(&j, "skipped").map_err(fail)?;
-                core.first_error = j.get_str("first_error").map(str::to_owned);
-                core.attempts = j.get_u64("attempts").map_or(core.evaluated, |n| n as usize);
-                core.retried = j.get_u64("retried").map_or(0, |n| n as usize);
-                core.error_histogram = histogram_from_json(&j);
-                core.entries.extend(entries_from_json(&j).map_err(fail)?);
-                match j.get("accepted") {
-                    Some(Json::Null) => core.finished = true,
-                    Some(acc) => {
-                        core.steps.push(step_from_json(acc).map_err(fail)?);
-                        let text = acc
-                            .get_str("machine")
-                            .ok_or("accepted step missing `machine`".to_owned())
-                            .map_err(fail)?;
-                        core.current =
-                            Some(isdl::load(text).map_err(|e| {
-                                fail(format!("accepted machine does not load: {e}"))
-                            })?);
+                replay.rounds.push(round_from_json(field("round")?).map_err(fail)?);
+                replay.counters = counters_from_json(&j).map_err(fail)?;
+                replay.entries.extend(entries_from_json(&j).map_err(fail)?);
+                match field("accepted")? {
+                    Json::Null => replay.finished = true,
+                    acc => {
+                        replay.steps.push(step_from_json(acc).map_err(fail)?);
+                        replay.beam = beam_from_json(acc).map_err(fail)?;
+                        if replay.beam.is_empty() {
+                            return Err(fail("accepted step missing `machine`".to_owned()));
+                        }
                     }
-                    None => return Err(fail("missing `accepted`".to_owned())),
                 }
             }
             Some("snapshot") => {
-                core.steps = j
-                    .get("steps")
-                    .and_then(Json::as_arr)
-                    .ok_or("snapshot missing `steps`".to_owned())
-                    .map_err(fail)?
+                let list = |key: &str| {
+                    field(key)?
+                        .as_arr()
+                        .ok_or_else(|| fail(format!("snapshot `{key}` is not a list")))
+                };
+                replay.steps = list("steps")?
                     .iter()
                     .map(step_from_json)
                     .collect::<Result<Vec<Step>, String>>()
                     .map_err(fail)?;
-                core.rounds = j
-                    .get("rounds")
-                    .and_then(Json::as_arr)
-                    .ok_or("snapshot missing `rounds`".to_owned())
-                    .map_err(fail)?
+                replay.rounds = list("rounds")?
                     .iter()
                     .map(round_from_json)
                     .collect::<Result<Vec<FrontierRound>, String>>()
                     .map_err(fail)?;
-                core.evaluated = get_usize(&j, "evaluated").map_err(fail)?;
-                core.cache_hits = get_usize(&j, "cache_hits").map_err(fail)?;
-                core.skipped_errors = get_usize(&j, "skipped").map_err(fail)?;
-                core.first_error = j.get_str("first_error").map(str::to_owned);
-                core.attempts = j.get_u64("attempts").map_or(core.evaluated, |n| n as usize);
-                core.retried = j.get_u64("retried").map_or(0, |n| n as usize);
-                core.error_histogram = histogram_from_json(&j);
-                core.entries = entries_from_json(&j).map_err(fail)?;
-                core.current = match j.get("machine") {
-                    Some(Json::Null) | None => None,
-                    Some(Json::Str(text)) => Some(
-                        isdl::load(text)
-                            .map_err(|e| fail(format!("snapshot machine does not load: {e}")))?,
-                    ),
-                    Some(_) => {
-                        return Err(fail("snapshot `machine` is not a string".to_owned()));
-                    }
-                };
-                core.finished = matches!(j.get("finished"), Some(Json::Bool(true)));
+                replay.counters = counters_from_json(&j).map_err(fail)?;
+                replay.entries = entries_from_json(&j).map_err(fail)?;
+                replay.beam = beam_from_json(&j).map_err(fail)?;
+                replay.finished = matches!(j.get("finished"), Some(Json::Bool(true)));
             }
-            Some("done") => core.finished = true,
+            Some("done") => replay.finished = true,
             Some(other) => return Err(fail(format!("unknown event `{other}`"))),
             None => return Err(fail("event line without `event`".to_owned())),
         }
     }
-    Ok(core)
+    Ok(replay)
 }
 
 impl Replay {
@@ -863,45 +844,13 @@ impl Replay {
                 JournalError::Parse { line: header_line, message }
             }
         })?;
-        let core = fold_events(events)?;
-        if core.steps.is_empty() {
+        let mut replay = fold_events(events)?;
+        if replay.steps.is_empty() {
             return Ok(None);
         }
-        let mut replay = Replay {
-            steps: core.steps,
-            rounds: core.rounds,
-            evaluated: core.evaluated,
-            cache_hits: core.cache_hits,
-            skipped_errors: core.skipped_errors,
-            first_error: core.first_error,
-            attempts: core.attempts,
-            retried: core.retried,
-            error_histogram: core.error_histogram,
-            entries: core.entries,
-            current: core.current.unwrap_or_else(|| start.clone()),
-            finished: core.finished,
-        };
-        if replay.rounds.len() >= explorer.max_steps {
-            replay.finished = true;
+        if replay.beam.is_empty() {
+            replay.beam.push(start.clone());
         }
         Ok(Some(replay))
-    }
-
-    /// The snapshot-serializable view of this replay.
-    fn to_core(&self) -> ReplayCore {
-        ReplayCore {
-            steps: self.steps.clone(),
-            rounds: self.rounds.clone(),
-            evaluated: self.evaluated,
-            cache_hits: self.cache_hits,
-            skipped_errors: self.skipped_errors,
-            first_error: self.first_error.clone(),
-            attempts: self.attempts,
-            retried: self.retried,
-            error_histogram: self.error_histogram.clone(),
-            entries: self.entries.clone(),
-            current: Some(self.current.clone()),
-            finished: self.finished,
-        }
     }
 }

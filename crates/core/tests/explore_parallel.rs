@@ -43,6 +43,32 @@ fn parallel_beam_trace_matches_serial() {
 }
 
 #[test]
+fn greedy_is_beam_of_width_one() {
+    // Greedy is the width-1 case of the one round loop — including the
+    // final machine of a run that converges before `max_steps`.
+    for kernels in [vec![workloads::dot_product(2)], vec![workloads::dot_product(3)]] {
+        for max_steps in [6, 16] {
+            for threads in [1, 4] {
+                let run = |strategy| {
+                    Explorer { max_steps, ..explorer(strategy, threads) }
+                        .run(&toy(), &kernels)
+                        .expect("explores")
+                };
+                let greedy = run(Strategy::Greedy);
+                let beam = run(Strategy::Beam { width: 1 });
+                assert!(
+                    greedy.semantic_eq(&beam),
+                    "max_steps {max_steps}, threads {threads}: beam-1 differs from greedy:\n  \
+                     greedy {:?}\n  beam-1 {:?}",
+                    greedy.steps.iter().map(|s| &s.action).collect::<Vec<_>>(),
+                    beam.steps.iter().map(|s| &s.action).collect::<Vec<_>>(),
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn serial_runs_are_deterministic() {
     // Two identically configured runs must agree with *themselves*
     // before thread-count comparisons mean anything — this guards the
@@ -210,50 +236,54 @@ fn progress_heartbeats_emit_jsonl_and_human_lines() {
             Ok(())
         }
     }
-    let jsonl = Buf::default();
-    let human = Buf::default();
     let dir = std::env::temp_dir().join(format!("archex-progress-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let metrics = dir.join("metrics.prom");
-    let progress = archex::Progress {
-        interval_ms: 0, // beat every round
-        jsonl: Some(jsonl.sink()),
-        human: Some(human.sink()),
-        metrics_out: Some(metrics.clone()),
-    };
     let kernels = vec![workloads::dot_product(3)];
-    let trace =
-        Explorer { progress: Some(progress), instrument: true, ..explorer(Strategy::Greedy, 2) }
-            .run(&toy(), &kernels)
-            .expect("explores");
+    for strategy in [Strategy::Greedy, Strategy::Beam { width: 3 }] {
+        let (jsonl, human) = (Buf::default(), Buf::default());
+        let _ = std::fs::remove_file(&metrics);
+        let progress = archex::Progress {
+            interval_ms: 0, // beat every round
+            jsonl: Some(jsonl.sink()),
+            human: Some(human.sink()),
+            metrics_out: Some(metrics.clone()),
+        };
+        let trace =
+            Explorer { progress: Some(progress), instrument: true, ..explorer(strategy, 2) }
+                .run(&toy(), &kernels)
+                .expect("explores");
 
-    assert!(trace.obs.heartbeats > 0, "at least one beat per finished round");
-    // Heartbeats never feed the determinism contract.
-    let plain = explorer(Strategy::Greedy, 2).run(&toy(), &kernels).expect("explores");
-    assert!(trace.semantic_eq(&plain), "progress reporting changed the search");
+        assert!(trace.obs.heartbeats > 0, "{strategy:?}: at least one beat per finished round");
+        assert_eq!(trace.obs.heartbeats as usize, trace.obs.rounds.len(), "{strategy:?}");
+        // Heartbeats never feed the determinism contract.
+        let plain = explorer(strategy, 2).run(&toy(), &kernels).expect("explores");
+        assert!(trace.semantic_eq(&plain), "{strategy:?}: progress reporting changed the search");
 
-    let text = jsonl.text();
-    let lines: Vec<_> = text.lines().collect();
-    assert_eq!(lines.len() as u64, trace.obs.heartbeats, "one JSONL line per beat");
-    for (i, line) in lines.iter().enumerate() {
-        let j = obs::Json::parse(line).expect("heartbeat line parses");
-        assert_eq!(j.get_str("schema"), Some(archex::PROGRESS_SCHEMA));
-        assert_eq!(j.get_u64("seq"), Some(i as u64 + 1), "seq is 1-based and dense");
-        assert_eq!(j.get_u64("round"), Some(i as u64 + 1));
-        assert!(j.get_u64("frontier").expect("frontier") > 0);
-        assert!(j.get_f64("hit_rate").expect("hit_rate") <= 1.0);
-        assert!(j.get_f64("eta_s").is_some());
-        assert!(j.get("errors").is_some(), "error histogram object present");
+        let text = jsonl.text();
+        let lines: Vec<_> = text.lines().collect();
+        assert_eq!(lines.len() as u64, trace.obs.heartbeats, "one JSONL line per beat");
+        for (i, line) in lines.iter().enumerate() {
+            let j = obs::Json::parse(line).expect("heartbeat line parses");
+            assert_eq!(j.get_str("schema"), Some(archex::PROGRESS_SCHEMA));
+            assert_eq!(j.get_u64("seq"), Some(i as u64 + 1), "seq is 1-based and dense");
+            assert_eq!(j.get_u64("round"), Some(i as u64 + 1));
+            let frontier = j.get_u64("frontier").expect("frontier");
+            assert_eq!(frontier as usize, trace.obs.rounds[i].proposed, "{strategy:?}");
+            assert!(j.get_f64("hit_rate").expect("hit_rate") <= 1.0);
+            assert!(j.get_f64("eta_s").is_some());
+            assert!(j.get("errors").is_some(), "error histogram object present");
+        }
+
+        let text = human.text();
+        assert_eq!(text.lines().count() as u64, trace.obs.heartbeats);
+        assert!(text.lines().all(|l| l.starts_with("[explore] round ")), "one-liner format");
+
+        // The Prometheus textfile was (re)written atomically each beat
+        // and reflects the instrumented registry.
+        let prom = std::fs::read_to_string(&metrics).expect("metrics file written");
+        assert!(prom.contains("obs_enabled 1"), "rendered from the live registry:\n{prom}");
+        assert!(prom.contains("explore_frontier"), "gauge exported");
     }
-
-    let text = human.text();
-    assert_eq!(text.lines().count() as u64, trace.obs.heartbeats);
-    assert!(text.lines().all(|l| l.starts_with("[explore] round ")), "one-liner format");
-
-    // The Prometheus textfile was (re)written atomically each beat and
-    // reflects the instrumented registry.
-    let prom = std::fs::read_to_string(&metrics).expect("metrics file written");
-    assert!(prom.contains("obs_enabled 1"), "rendered from the live registry:\n{prom}");
-    assert!(prom.contains("explore_frontier"), "gauge exported");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -84,9 +84,15 @@ fn contained_panic_writes_parseable_flight_dump_referenced_from_the_log() {
     assert_eq!(doc.get_str("reason"), Some("toolchain_panic"));
     let events = doc.get("events").and_then(Json::as_arr).expect("events array");
     assert!(!events.is_empty());
-    // The tail names the panicking stage: the hook's own note is the
-    // last event on the ring at dump time.
-    let last = events.last().expect("non-empty");
+    // The capturing thread's tail names the panicking stage: the hook's
+    // own note is the last event on that thread's ring at dump time
+    // (another worker's notes may land after it in the merged list).
+    let shard = doc.get_u64("shard").expect("capturing shard recorded");
+    let last = events
+        .iter()
+        .rev()
+        .find(|e| e.get_u64("shard") == Some(shard))
+        .expect("the capturing thread recorded events");
     assert_eq!(last.get_str("target"), Some("eval.panic"));
     assert_eq!(last.get_str("msg"), Some("simulate"));
 

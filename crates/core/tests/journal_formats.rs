@@ -5,7 +5,7 @@
 //! [`archex::journal::compact`] must produce a journal that resumes to
 //! the same final trace.
 
-use archex::{compact, workloads, EvalCache, Explorer, JournalError};
+use archex::{compact, workloads, EvalCache, Explorer, JournalError, Strategy};
 
 /// The explorer configuration the `toy_v1.jsonl` fixture was written
 /// with (pre-`/2` writer: TOY machine, `dot_product(3)`, 6 steps,
@@ -118,30 +118,39 @@ fn corruption_anywhere_is_rejected_with_the_line_number() {
 
 #[test]
 fn compact_resumes_to_the_same_final_trace() {
-    let e = fixture_explorer();
     let kernels = vec![workloads::dot_product(3)];
-    let (full, journal) = journaled_run(&e);
+    for strategy in [Strategy::Greedy, Strategy::Beam { width: 3 }] {
+        let e = Explorer { strategy, ..fixture_explorer() };
+        let (full, journal) = journaled_run(&e);
 
-    // Compacting the complete journal: two lines, same final trace.
-    let compacted = compact(&journal).expect("journal compacts");
-    assert_eq!(compacted.lines().count(), 2, "header + snapshot");
-    assert!(compacted.len() < journal.len(), "compaction shrank the journal");
-    let resumed = e
-        .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
-        .expect("compacted journal resumes");
-    assert!(full.semantic_eq(&resumed), "compaction changed the replayed trace");
+        // Compacting the complete journal: two lines, same final trace.
+        let compacted = compact(&journal).expect("journal compacts");
+        assert_eq!(compacted.lines().count(), 2, "{strategy:?}: header + snapshot");
+        assert!(compacted.len() < journal.len(), "{strategy:?}: compaction shrank the journal");
+        let resumed = e
+            .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
+            .expect("compacted journal resumes");
+        assert!(full.semantic_eq(&resumed), "{strategy:?}: compaction changed the trace");
 
-    // Compacting a kill prefix: the resumed run continues from the
-    // snapshot and still converges to the uninterrupted trace.
-    let lines: Vec<&str> = journal.lines().collect();
-    let prefix = lines[..3].join("\n");
-    let compacted = compact(&prefix).expect("prefix compacts");
-    let resumed = e
-        .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
-        .expect("compacted prefix resumes");
-    assert!(full.semantic_eq(&resumed), "compacted prefix diverged on resume");
+        // Compacting a kill prefix: the resumed run continues from the
+        // snapshot and still converges to the uninterrupted trace.
+        let lines: Vec<&str> = journal.lines().collect();
+        let prefix = lines[..3].join("\n");
+        let compacted = compact(&prefix).expect("prefix compacts");
+        let resumed = e
+            .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
+            .expect("compacted prefix resumes");
+        assert!(full.semantic_eq(&resumed), "{strategy:?}: compacted prefix diverged on resume");
+
+        // Corrupt journals are never compacted.
+        let mut corrupt: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+        corrupt.insert(2, corrupt[1].clone());
+        let err = compact(&corrupt.join("\n")).expect_err("corrupt journal rejected");
+        assert!(matches!(err, JournalError::Corrupt { line: 3, .. }), "{strategy:?}: got {err}");
+    }
 
     // Compacting a v1 journal upgrades it to `/2`.
+    let e = fixture_explorer();
     let compacted = compact(&v1_fixture()).expect("v1 journal compacts");
     assert!(
         compacted.lines().next().is_some_and(|l| l.contains("archex-journal/2")),
@@ -152,10 +161,4 @@ fn compact_resumes_to_the_same_final_trace() {
         .expect("compacted v1 journal resumes");
     let fresh = e.run(&toy(), &kernels).expect("fresh run");
     assert!(fresh.semantic_eq(&resumed), "compacted v1 journal diverged on resume");
-
-    // Corrupt journals are never compacted.
-    let mut corrupt: Vec<String> = journal.lines().map(str::to_owned).collect();
-    corrupt.insert(2, corrupt[1].clone());
-    let err = compact(&corrupt.join("\n")).expect_err("corrupt journal rejected");
-    assert!(matches!(err, JournalError::Corrupt { line: 3, .. }), "got {err}");
 }

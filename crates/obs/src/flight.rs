@@ -62,7 +62,7 @@ thread_local! {
         const { std::cell::OnceCell::new() };
 }
 
-fn with_shard(f: impl FnOnce(u64, &Mutex<RingSink>)) {
+fn with_shard<R>(f: impl FnOnce(u64, &Mutex<RingSink>) -> R) -> R {
     SHARD.with(|cell| {
         let (id, ring) = cell.get_or_init(|| {
             let ring = Arc::new(Mutex::new(RingSink::new(CAPACITY.load(Ordering::Relaxed))));
@@ -71,8 +71,8 @@ fn with_shard(f: impl FnOnce(u64, &Mutex<RingSink>)) {
             shards.push((id, Arc::clone(&ring)));
             (id, ring)
         });
-        f(*id, ring);
-    });
+        f(*id, ring)
+    })
 }
 
 /// Sets the per-thread ring capacity for rings created from now on
@@ -136,12 +136,16 @@ pub fn snapshot() -> (Vec<Json>, u64) {
 }
 
 /// Renders the current recorder state as a `flight-dump/1` document.
+/// `shard` names the calling thread's ring: its last event is what
+/// triggered the dump, even while other threads keep recording.
 #[must_use]
 pub fn dump(reason: &str) -> Json {
+    let shard = with_shard(|id, _| id);
     let (events, dropped) = snapshot();
     Json::obj()
         .with("schema", DUMP_SCHEMA)
         .with("reason", reason)
+        .with("shard", shard)
         .with("shards", SHARDS.lock().expect("flight shard list lock").len())
         .with("dropped", dropped)
         .with("events", Json::Arr(events))
@@ -195,9 +199,11 @@ fn write_dump(dir: &Path, n: u64, reason: &str, doc: &Json) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_guard;
 
     #[test]
     fn notes_are_bounded_merged_and_dumpable() {
+        let _guard = test_guard();
         let before = dump_count();
         for i in 0..200u64 {
             note("test.flight", "step", Json::obj().with("i", i));
@@ -234,6 +240,7 @@ mod tests {
 
     #[test]
     fn capture_without_dir_inlines_a_tail() {
+        let _guard = test_guard();
         note("test.capture", "last thing", Json::obj());
         let had_dir = dump_dir();
         set_dump_dir(None);
@@ -247,6 +254,7 @@ mod tests {
 
     #[test]
     fn capture_with_dir_writes_a_parseable_file() {
+        let _guard = test_guard();
         let dir = std::env::temp_dir().join(format!("obs-flight-test-{}", std::process::id()));
         let had_dir = dump_dir();
         set_dump_dir(Some(dir.clone()));

@@ -50,6 +50,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+/// Serializes the unit tests that touch process-wide state — the log
+/// dispatcher and the flight recorder's rings, dump directory, and dump
+/// counter — so parallel test threads never interleave on it. A flight
+/// note also reaches the log dispatcher, so both modules share this one
+/// guard.
+#[cfg(test)]
+pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A shared on/off switch for a family of metrics.
 ///
 /// Cloning a gate shares the underlying flag (it is an `Arc`), so a

@@ -271,15 +271,8 @@ fn dispatch(level: Level, target: &str, msg: &str, fields: Json) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex as StdMutex, MutexGuard, OnceLock};
-
-    /// The dispatcher is process-global; tests touching it serialize
-    /// here so parallel test threads never interleave init/shutdown.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<StdMutex<()>> = OnceLock::new();
-        let lock = LOCK.get_or_init(|| StdMutex::new(()));
-        lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::test_guard;
+    use std::sync::{Arc, Mutex as StdMutex};
 
     #[derive(Clone, Default)]
     struct SharedBuf(Arc<StdMutex<Vec<u8>>>);
@@ -323,7 +316,7 @@ mod tests {
 
     #[test]
     fn disabled_gate_emits_and_counts_nothing() {
-        let _guard = serial();
+        let _guard = test_guard();
         shutdown();
         let (e0, d0) = stats();
         let mut built = false;
@@ -338,7 +331,7 @@ mod tests {
 
     #[test]
     fn events_are_filtered_stamped_and_jsonl() {
-        let _guard = serial();
+        let _guard = test_guard();
         let buf = SharedBuf::default();
         init(Filter::parse("info,quiet=error").expect("parses"), Box::new(buf.clone()));
         let (e0, d0) = stats();

@@ -32,6 +32,10 @@ run cargo test -q
 # -q` above too; naming them here keeps the gates explicit and the
 # failure output focused.
 run cargo test -q -p archex
+# obs unit tests share the process-wide log dispatcher and flight
+# recorder; they serialize on one crate-level guard and must pass at
+# any --test-threads.
+run cargo test -q -p obs
 # Crash-torture smoke (see docs/ROBUSTNESS.md): real `isdlc explore
 # --journal` children are SIGKILLed at seeded byte offsets and
 # resumed; the final trace must match the uninterrupted run's. The

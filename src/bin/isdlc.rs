@@ -620,9 +620,13 @@ fn dispatch(cmd: &str, flags: &[&str], pos: &[&String]) -> Result<(), String> {
                 write_atomic(path, &trace.to_json().to_pretty())?;
             }
             if shutdown_requested() {
+                let hint = if flags.iter().any(|f| f.starts_with("--journal=")) {
+                    "; the journal checkpoint is clean — rerun to resume"
+                } else {
+                    ""
+                };
                 eprintln!(
-                    "isdlc: interrupted after {} of {steps} rounds; \
-                     the journal checkpoint is clean — rerun to resume",
+                    "isdlc: interrupted after {} of {steps} rounds{hint}",
                     trace.steps.len().saturating_sub(1)
                 );
             }

@@ -238,7 +238,14 @@ fn flight_dump_names_the_stage_and_survives_sigkill() {
         assert_eq!(doc.get_str("schema"), Some("flight-dump/1"), "{}", p.display());
         assert_eq!(doc.get_str("reason"), Some("toolchain_panic"));
         let events = doc.get("events").and_then(Json::as_arr).expect("events");
-        let last = events.last().expect("tail event");
+        // Other workers keep recording while the panicking one dumps;
+        // its own last event is the one that names the stage.
+        let shard = doc.get_u64("shard").expect("capturing shard recorded");
+        let last = events
+            .iter()
+            .rev()
+            .find(|e| e.get_u64("shard") == Some(shard))
+            .expect("the capturing thread's tail event");
         assert_eq!(last.get_str("target"), Some("eval.panic"));
         assert_eq!(last.get_str("msg"), Some("simulate"), "tail names the panicking stage");
     }
