@@ -11,10 +11,7 @@
 
 pub mod report;
 
-pub use report::{
-    bench_json, entries_from_explore_json, entries_from_profile_json, entries_from_stats_json,
-    BenchEntry, BENCH_SCHEMA,
-};
+pub use report::{bench_json, BenchEntry, BENCH_SCHEMA};
 
 use archex::{compile, workloads, Explorer, Kernel, Strategy, Trace};
 use bitv::BitVector;

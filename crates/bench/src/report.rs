@@ -1,11 +1,8 @@
-//! `BENCH_*.json` entry extraction from the observability reports.
-//!
-//! The harness binaries write flat benchmark records — one
+//! The `bench/1` payload: flat benchmark records — one
 //! `{name, value, unit}` triple per measured quantity — that trend
-//! dashboards can ingest without knowing the richer source schemas.
-//! This module converts the simulator's `xsim-stats/1` report and the
-//! explorer's `archex-explore/1` trace into those entries and renders
-//! the versioned `bench/1` payload.
+//! tooling can ingest without knowing the richer source schemas. The
+//! layered benchmark under `perfbench/` writes its result files with
+//! [`bench_json`].
 
 use obs::Json;
 
@@ -23,289 +20,7 @@ pub struct BenchEntry {
     pub unit: &'static str,
 }
 
-impl BenchEntry {
-    fn new(name: String, value: f64, unit: &'static str) -> Self {
-        Self { name, value, unit }
-    }
-}
-
-/// Checks the schema string of a parsed report against what the
-/// extractor understands.
-fn check_schema(json: &Json, expected: &str) -> Result<(), String> {
-    match json.get_str("schema") {
-        Some(s) if s == expected => Ok(()),
-        Some(s) => Err(format!("unsupported schema `{s}` (expected `{expected}`)")),
-        None => Err(format!("missing `schema` key (expected `{expected}`)")),
-    }
-}
-
-/// Extracts benchmark entries from an `xsim-stats/1` report
-/// ([`gensim::stats_json`] output): the cycle/instruction/stall
-/// totals, the IPC, one utilization entry per field, and — when the
-/// report carries them — the middle-end's `opt` block and the
-/// translation tier's `translate` block, all prefixed with the
-/// machine name.
-///
-/// Tolerant by design: reports written before the `opt`, `timing_us`,
-/// or `translate` blocks existed (and even before the totals
-/// stabilized) still extract — any missing or malformed field is
-/// skipped rather than an error, so a trend dashboard can ingest an
-/// archive spanning schema history.
-///
-/// # Errors
-///
-/// Fails when `text` is not valid JSON or its `schema` key is not
-/// `xsim-stats/1`.
-pub fn entries_from_stats_json(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let json = Json::parse(text)?;
-    check_schema(&json, gensim::STATS_SCHEMA)?;
-    let machine = json.get_str("machine").unwrap_or("unknown");
-    let mut out = Vec::new();
-    for (key, unit) in [
-        ("cycles", "cycles"),
-        ("instructions", "instructions"),
-        ("stall_cycles", "cycles"),
-        ("ipc", "ratio"),
-    ] {
-        if let Some(v) = json.get_f64(key) {
-            out.push(BenchEntry::new(format!("{machine}.{key}"), v, unit));
-        }
-    }
-    if let Some(Json::Arr(fields)) = json.get("fields") {
-        for field in fields {
-            let (Some(name), Some(util)) = (field.get_str("name"), field.get_f64("utilization"))
-            else {
-                continue; // legacy or truncated row — skip, don't fail
-            };
-            out.push(BenchEntry::new(format!("{machine}.field.{name}.utilization"), util, "ratio"));
-        }
-    }
-    if let Some(t) = json.get("translate") {
-        for (key, unit) in [
-            ("blocks", "blocks"),
-            ("invalidations", "blocks"),
-            ("block_instructions", "instructions"),
-            ("interp_instructions", "instructions"),
-            ("fused_ops_removed", "ops"),
-        ] {
-            if let Some(v) = t.get_f64(key) {
-                out.push(BenchEntry::new(format!("{machine}.translate.{key}"), v, unit));
-            }
-        }
-    }
-    if let Some(opt) = json.get("opt") {
-        for key in ["nodes_before", "nodes_after", "nodes_eliminated", "narrowed", "cse_hits"] {
-            if let Some(v) = opt.get_f64(key) {
-                out.push(BenchEntry::new(format!("{machine}.opt.{key}"), v, "nodes"));
-            }
-        }
-        if let Some(v) = opt.get_f64("wide_fallbacks") {
-            out.push(BenchEntry::new(format!("{machine}.opt.wide_fallbacks"), v, "plans"));
-        }
-        // Per-pass rows from the pass-manager's `passes` array
-        // (`<machine>.opt.<pass>.rewrites` / `.eliminated`). Reports
-        // written before the pass manager existed have no array and
-        // contribute no rows.
-        if let Some(Json::Arr(passes)) = opt.get("passes") {
-            for pass in passes {
-                let (Some(name), Some(rewrites)) = (pass.get_str("name"), pass.get_f64("rewrites"))
-                else {
-                    continue; // malformed row — skip, don't fail
-                };
-                out.push(BenchEntry::new(
-                    format!("{machine}.opt.{name}.rewrites"),
-                    rewrites,
-                    "rewrites",
-                ));
-                if let (Some(nodes_in), Some(nodes_out)) =
-                    (pass.get_f64("nodes_in"), pass.get_f64("nodes_out"))
-                {
-                    out.push(BenchEntry::new(
-                        format!("{machine}.opt.{name}.eliminated"),
-                        nodes_in - nodes_out,
-                        "nodes",
-                    ));
-                }
-            }
-        }
-    }
-    // The `xsim` CLI attaches its phase timings under `timing_us`
-    // (load/assemble/generate/run); the library report never carries
-    // the key, so its absence is not an error.
-    if let Some(timing) = json.get("timing_us") {
-        for key in ["load", "assemble", "generate", "run"] {
-            if let Some(v) = timing.get_f64(key) {
-                out.push(BenchEntry::new(format!("{machine}.timing.{key}_us"), v, "us"));
-            }
-        }
-    }
-    // `xsim --log` attaches the structured-log accounting under
-    // `log` (`{events, dropped}` — see `xsim-log/1` in
-    // docs/OBSERVABILITY.md); reports written without the flag, and
-    // every report written before the log existed, have no block and
-    // contribute no rows.
-    if let Some(log) = json.get("log") {
-        for key in ["events", "dropped"] {
-            if let Some(v) = log.get_f64(key) {
-                out.push(BenchEntry::new(format!("{machine}.log.{key}"), v, "events"));
-            }
-        }
-    }
-    // `xsim --netlist-sim` attaches the netlist cross-check's
-    // `vlog-stats/1` block under `netlist`. Rows are keyed by backend
-    // (`<machine>.netlist.<event|levelized>.*`) so both backends can
-    // coexist in one trend archive; reports written before the block
-    // existed simply contribute nothing.
-    if let Some(nl) = json.get("netlist") {
-        let backend = nl.get_str("backend").unwrap_or("unknown");
-        for (key, unit) in
-            [("cycles", "cycles"), ("events", "events"), ("evals_per_clock", "ratio")]
-        {
-            if let Some(v) = nl.get_f64(key) {
-                out.push(BenchEntry::new(format!("{machine}.netlist.{backend}.{key}"), v, unit));
-            }
-        }
-        if let Some(lev) = nl.get("levelized") {
-            for (key, unit) in [
-                ("levels", "levels"),
-                ("partitions", "partitions"),
-                ("partitions_evaluated", "partitions"),
-                ("partitions_skipped", "partitions"),
-                ("skip_rate", "ratio"),
-            ] {
-                if let Some(v) = lev.get_f64(key) {
-                    out.push(BenchEntry::new(
-                        format!("{machine}.netlist.{backend}.{key}"),
-                        v,
-                        unit,
-                    ));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Extracts benchmark entries from an `xsim-profile/1` report
-/// ([`gensim::profile_json`] output): the `top` regions by cycle count
-/// (`<machine>.profile.region.<label>.cycles` / `.stall_cycles`) and
-/// the `top` stalling PCs
-/// (`<machine>.profile.pc<addr>.stall_cycles`), so a trend dashboard
-/// tracks the hot spots without ingesting the full table.
-///
-/// # Errors
-///
-/// Fails when `text` is not valid JSON or its `schema` key is not
-/// `xsim-profile/1`.
-pub fn entries_from_profile_json(text: &str, top: usize) -> Result<Vec<BenchEntry>, String> {
-    let json = Json::parse(text)?;
-    check_schema(&json, gensim::PROFILE_SCHEMA)?;
-    let machine = json.get_str("machine").unwrap_or("unknown");
-    let mut out = Vec::new();
-
-    let mut regions: Vec<&Json> =
-        json.get("regions").and_then(Json::as_arr).map(|a| a.iter().collect()).unwrap_or_default();
-    regions.sort_by_key(|r| std::cmp::Reverse(r.get_u64("cycles").unwrap_or(0)));
-    for r in regions.into_iter().take(top) {
-        // Rows from older writers may lack keys — skip, don't fail.
-        let (Some(name), Some(cycles), Some(stalls)) =
-            (r.get_str("name"), r.get_f64("cycles"), r.get_f64("stall_cycles"))
-        else {
-            continue;
-        };
-        out.push(BenchEntry::new(
-            format!("{machine}.profile.region.{name}.cycles"),
-            cycles,
-            "cycles",
-        ));
-        out.push(BenchEntry::new(
-            format!("{machine}.profile.region.{name}.stall_cycles"),
-            stalls,
-            "cycles",
-        ));
-    }
-
-    let mut pcs: Vec<&Json> =
-        json.get("pcs").and_then(Json::as_arr).map(|a| a.iter().collect()).unwrap_or_default();
-    pcs.retain(|p| p.get_u64("stall_cycles").is_some_and(|n| n > 0));
-    pcs.sort_by_key(|p| std::cmp::Reverse(p.get_u64("stall_cycles").unwrap_or(0)));
-    for p in pcs.into_iter().take(top) {
-        let (Some(pc), Some(stalls)) = (p.get_u64("pc"), p.get_f64("stall_cycles")) else {
-            continue; // legacy row — skip, don't fail
-        };
-        out.push(BenchEntry::new(
-            format!("{machine}.profile.pc{pc}.stall_cycles"),
-            stalls,
-            "cycles",
-        ));
-    }
-    Ok(out)
-}
-
-/// Extracts benchmark entries from an `archex-explore/1` trace
-/// ([`archex::explore::Trace::to_json`] output): candidate counts,
-/// accepted steps, the final objective score, and the evaluation
-/// latency/wall-time measurements.
-///
-/// # Errors
-///
-/// Fails when `text` is not valid JSON or its `schema` key is not
-/// `archex-explore/1`.
-pub fn entries_from_explore_json(text: &str) -> Result<Vec<BenchEntry>, String> {
-    let json = Json::parse(text)?;
-    check_schema(&json, archex::EXPLORE_SCHEMA)?;
-    let machine = json.get_str("machine").unwrap_or("unknown");
-    let num = |key: &str| json.get_f64(key).ok_or_else(|| format!("missing numeric `{key}` key"));
-    let mut out = vec![
-        BenchEntry::new(format!("{machine}.explore.evaluated"), num("evaluated")?, "candidates"),
-        BenchEntry::new(format!("{machine}.explore.cache_hits"), num("cache_hits")?, "candidates"),
-    ];
-    // Supervision counters arrived with the retry runtime; traces
-    // written before it simply contribute no rows.
-    if let Some(attempts) = json.get_f64("attempts") {
-        out.push(BenchEntry::new(format!("{machine}.explore.attempts"), attempts, "attempts"));
-    }
-    if let Some(retried) = json.get_f64("retried") {
-        out.push(BenchEntry::new(format!("{machine}.explore.retried"), retried, "attempts"));
-    }
-    if let Some(Json::Obj(kinds)) = json.get("error_histogram") {
-        for (kind, n) in kinds {
-            let Some(n) = n.as_u64() else { continue }; // legacy row — skip, don't fail
-            out.push(BenchEntry::new(
-                format!("{machine}.explore.errors.{kind}"),
-                n as f64,
-                "errors",
-            ));
-        }
-    }
-    if let Some(Json::Arr(steps)) = json.get("steps") {
-        out.push(BenchEntry::new(format!("{machine}.explore.steps"), steps.len() as f64, "steps"));
-        if let Some(score) = steps.last().and_then(|s| s.get_f64("score")) {
-            out.push(BenchEntry::new(format!("{machine}.explore.final_score"), score, "score"));
-        }
-    }
-    if let Some(obs) = json.get("obs") {
-        if let Some(mean) = obs.get("eval_latency_us").and_then(|s| s.get_f64("mean")) {
-            out.push(BenchEntry::new(format!("{machine}.explore.eval_latency_mean"), mean, "us"));
-        }
-        if let Some(wall) = obs.get_f64("wall_s") {
-            out.push(BenchEntry::new(format!("{machine}.explore.wall"), wall, "s"));
-        }
-        // Telemetry counters from the live-progress PR: traces written
-        // before heartbeats or the flight recorder existed have
-        // neither key and contribute no rows.
-        if let Some(beats) = obs.get_f64("heartbeats") {
-            out.push(BenchEntry::new(format!("{machine}.explore.heartbeats"), beats, "beats"));
-        }
-        if let Some(dumps) = obs.get_f64("flight_dumps") {
-            out.push(BenchEntry::new(format!("{machine}.flight.dumps"), dumps, "dumps"));
-        }
-    }
-    Ok(out)
-}
-
-/// Renders entries as the `bench/1` JSON payload written to
-/// `BENCH_*.json` files.
+/// Renders entries as the `bench/1` JSON payload.
 #[must_use]
 pub fn bench_json(entries: &[BenchEntry]) -> String {
     let arr: Vec<Json> = entries
@@ -322,343 +37,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_report_round_trips() {
-        let machine = isdl::load(isdl::samples::ACC16).expect("loads");
-        let program = xasm::Assembler::new(&machine)
-            .assemble("ldi 7\naddm ten\nsta 0\nhalt\n.data\n.org 20\nten: .word 10\n")
-            .expect("assembles");
-        let mut sim = gensim::Xsim::generate(&machine).expect("generates");
-        sim.load_program(&program);
-        assert_eq!(sim.run(1_000), gensim::StopReason::Halted);
-        let text = gensim::stats_json(&sim).to_pretty();
-        let entries = entries_from_stats_json(&text).expect("extracts");
-        let by_name = |n: &str| {
-            entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}")).value
-        };
-        assert_eq!(by_name("acc16.cycles"), 4.0);
-        assert_eq!(by_name("acc16.instructions"), 4.0);
-        assert_eq!(by_name("acc16.ipc"), 1.0);
-        assert_eq!(by_name("acc16.field.MAIN.utilization"), 1.0);
-        assert_eq!(by_name("acc16.opt.wide_fallbacks"), 0.0);
-        assert_eq!(
-            by_name("acc16.opt.nodes_eliminated"),
-            by_name("acc16.opt.nodes_before") - by_name("acc16.opt.nodes_after"),
-        );
-        assert!(by_name("acc16.translate.blocks") >= 1.0, "translated rows extracted");
-        assert_eq!(
-            by_name("acc16.translate.block_instructions")
-                + by_name("acc16.translate.interp_instructions"),
-            by_name("acc16.instructions"),
-            "dispatch mix partitions the retire count"
-        );
-        let payload = bench_json(&entries);
-        let parsed = obs::Json::parse(&payload).expect("bench payload parses");
+    fn payload_parses_with_schema_and_entries() {
+        let entry = BenchEntry { name: "acc16.cycles".to_owned(), value: 4.0, unit: "cycles" };
+        let parsed = Json::parse(&bench_json(&[entry])).expect("bench payload parses");
         assert_eq!(parsed.get_str("schema"), Some(BENCH_SCHEMA));
-    }
-
-    /// The pass-manager's `passes` array becomes per-pass trend rows,
-    /// and their eliminated-node deltas partition the block total —
-    /// the same invariant `xsim-stats/1` documents.
-    #[test]
-    fn per_pass_rows_extract_and_partition_the_totals() {
-        let machine = isdl::load(isdl::samples::WIDEMUL).expect("loads");
-        let program = xasm::Assembler::new(&machine)
-            .assemble("lia 255\nlib 255\nwmul\nwdiv\nwrem\ndsum 3\nsqs\nhalt\n")
-            .expect("assembles");
-        let options = gensim::XsimOptions {
-            opt: isdl::opt::OptLevel::Full,
-            ..gensim::XsimOptions::default()
-        };
-        let mut sim = gensim::Xsim::generate_with(&machine, options).expect("generates");
-        sim.load_program(&program);
-        assert_eq!(sim.run(1_000), gensim::StopReason::Halted);
-        let text = gensim::stats_json(&sim).to_pretty();
-        let entries = entries_from_stats_json(&text).expect("extracts");
-        let by_name = |n: &str| {
-            entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}")).value
-        };
-        let pass_delta: f64 = ["fold", "prop", "strength", "fwd", "dead", "cse", "share"]
-            .iter()
-            .map(|p| by_name(&format!("widemul.opt.{p}.eliminated")))
-            .sum();
-        assert_eq!(
-            pass_delta,
-            by_name("widemul.opt.nodes_before") - by_name("widemul.opt.nodes_after"),
-            "per-pass rows partition the pipeline total"
-        );
-        assert!(by_name("widemul.opt.strength.rewrites") > 0.0, "wdiv/wrem strength-reduce");
-        assert!(by_name("widemul.opt.fwd.rewrites") > 0.0, "dsum's repeated load forwards");
-
-        // A report whose opt block predates the pass manager (no
-        // `passes` array) contributes no per-pass rows.
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "opt": {"level": "2", "nodes_before": 12, "nodes_after": 9}
-        }"#;
-        let entries = entries_from_stats_json(text).expect("legacy report extracts");
-        assert!(
-            !entries
-                .iter()
-                .any(|e| e.name.ends_with(".rewrites") || e.name.ends_with(".eliminated")),
-            "absent passes array adds nothing: {entries:?}"
-        );
-    }
-
-    #[test]
-    fn explore_trace_round_trips() {
-        let start = isdl::load(isdl::samples::TOY).expect("loads");
-        let trace = crate::run_exploration(&start, archex::Strategy::Greedy, 1);
-        let text = trace.to_json().to_pretty();
-        let entries = entries_from_explore_json(&text).expect("extracts");
-        let by_name = |n: &str| {
-            entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}")).value
-        };
-        assert_eq!(by_name("toy.explore.evaluated"), trace.evaluated as f64);
-        assert_eq!(by_name("toy.explore.steps"), trace.steps.len() as f64);
-        assert!(by_name("toy.explore.wall") > 0.0, "instrumented run records wall time");
-        assert_eq!(by_name("toy.explore.attempts"), trace.attempts as f64);
-        assert_eq!(by_name("toy.explore.retried"), trace.retried as f64);
-    }
-
-    #[test]
-    fn explore_error_histogram_becomes_per_kind_rows() {
-        let text = r#"{
-            "schema": "archex-explore/1", "machine": "toy",
-            "evaluated": 5, "cache_hits": 1, "attempts": 8, "retried": 3,
-            "error_histogram": {"toolchain_panic": 2, "deadline_exceeded": 1}
-        }"#;
-        let entries = entries_from_explore_json(text).expect("extracts");
-        let by_name = |n: &str| {
-            entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}")).value
-        };
-        assert_eq!(by_name("toy.explore.attempts"), 8.0);
-        assert_eq!(by_name("toy.explore.retried"), 3.0);
-        assert_eq!(by_name("toy.explore.errors.toolchain_panic"), 2.0);
-        assert_eq!(by_name("toy.explore.errors.deadline_exceeded"), 1.0);
-
-        // Traces written before the supervision counters still extract.
-        let legacy = r#"{
-            "schema": "archex-explore/1", "machine": "toy",
-            "evaluated": 5, "cache_hits": 1
-        }"#;
-        let entries = entries_from_explore_json(legacy).expect("legacy trace extracts");
-        assert!(
-            !entries.iter().any(|e| e.name.contains("attempts") || e.name.contains("errors.")),
-            "absent supervision counters add no rows"
-        );
-    }
-
-    /// The `log` accounting block attached by `xsim --log` becomes
-    /// `<machine>.log.*` rows, and every report vintage without it —
-    /// which is every report written before the structured log
-    /// existed, plus every run without the flag — contributes none.
-    #[test]
-    fn log_block_is_extracted_and_optional() {
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "cycles": 10, "instructions": 8, "stall_cycles": 2, "ipc": 0.8,
-            "log": {"events": 14, "dropped": 3}
-        }"#;
-        let entries = entries_from_stats_json(text).expect("extracts");
-        let by_name =
-            |n: &str| entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}"));
-        assert_eq!(by_name("spam.log.events").value, 14.0);
-        assert_eq!(by_name("spam.log.dropped").value, 3.0);
-        assert_eq!(by_name("spam.log.events").unit, "events");
-
-        // Pre-log vintage: the absent block adds nothing.
-        let legacy = r#"{"schema": "xsim-stats/1", "machine": "spam", "cycles": 10}"#;
-        let entries = entries_from_stats_json(legacy).expect("legacy report extracts");
-        assert!(!entries.iter().any(|e| e.name.contains(".log.")), "{entries:?}");
-    }
-
-    /// The heartbeat and flight-dump counters in `trace.obs` become
-    /// trend rows; traces from before the telemetry PR (an `obs` block
-    /// with neither key) still extract, contributing none.
-    #[test]
-    fn explore_telemetry_counters_extract_with_legacy_skip() {
-        let text = r#"{
-            "schema": "archex-explore/1", "machine": "toy",
-            "evaluated": 5, "cache_hits": 1,
-            "obs": {"wall_s": 0.5, "heartbeats": 4, "flight_dumps": 2}
-        }"#;
-        let entries = entries_from_explore_json(text).expect("extracts");
-        let by_name =
-            |n: &str| entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}"));
-        assert_eq!(by_name("toy.explore.heartbeats").value, 4.0);
-        assert_eq!(by_name("toy.explore.heartbeats").unit, "beats");
-        assert_eq!(by_name("toy.flight.dumps").value, 2.0);
-        assert_eq!(by_name("toy.flight.dumps").unit, "dumps");
-
-        // Pre-telemetry vintage: an obs block without the counters.
-        let legacy = r#"{
-            "schema": "archex-explore/1", "machine": "toy",
-            "evaluated": 5, "cache_hits": 1, "obs": {"wall_s": 0.5}
-        }"#;
-        let entries = entries_from_explore_json(legacy).expect("legacy trace extracts");
-        assert!(
-            !entries.iter().any(|e| e.name.contains("heartbeats") || e.name.contains("flight")),
-            "absent telemetry counters add no rows: {entries:?}"
-        );
-    }
-
-    #[test]
-    fn cli_timing_block_is_extracted() {
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "cycles": 10, "instructions": 8, "stall_cycles": 2, "ipc": 0.8,
-            "timing_us": {"load": 120.5, "assemble": 800.0, "generate": 1500.25, "run": 90.0}
-        }"#;
-        let entries = entries_from_stats_json(text).expect("extracts");
-        let by_name =
-            |n: &str| entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}"));
-        assert_eq!(by_name("spam.timing.load_us").value, 120.5);
-        assert_eq!(by_name("spam.timing.assemble_us").value, 800.0);
-        assert_eq!(by_name("spam.timing.generate_us").value, 1500.25);
-        assert_eq!(by_name("spam.timing.run_us").value, 90.0);
-        assert!(entries.iter().all(|e| !e.name.contains("timing") || e.unit == "us"));
-    }
-
-    #[test]
-    fn profile_report_flattens_top_rows() {
-        let machine = crate::spam_machine();
-        let program = crate::fir_program(&machine);
-        let mut sim = gensim::Xsim::generate(&machine).expect("generates");
-        sim.load_program(&program);
-        sim.enable_profile();
-        assert_eq!(sim.run(100_000), gensim::StopReason::Halted);
-        let text = gensim::profile_json(&sim).to_pretty();
-        let entries = entries_from_profile_json(&text, 3).expect("extracts");
-        assert!(
-            entries.iter().any(|e| e.name.starts_with("spam.profile.region.")),
-            "top regions flattened: {entries:?}"
-        );
-        assert!(
-            entries.iter().filter(|e| e.name.contains(".profile.pc")).count() <= 3,
-            "top-N bound respected"
-        );
-        // Regions arrive hottest-first, so the first region entry
-        // carries the largest cycle count of all region entries.
-        let region_cycles: Vec<f64> = entries
-            .iter()
-            .filter(|e| e.name.ends_with(".cycles") && e.name.contains(".region."))
-            .map(|e| e.value)
-            .collect();
-        assert!(region_cycles.windows(2).all(|w| w[0] >= w[1]), "sorted desc: {region_cycles:?}");
-    }
-
-    /// The netlist cross-check block lands as backend-keyed rows, and
-    /// a report without it (every report written before the levelized
-    /// backend existed) contributes no netlist rows at all.
-    #[test]
-    fn netlist_block_is_extracted_and_optional() {
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "cycles": 103, "instructions": 73, "stall_cycles": 30, "ipc": 0.7,
-            "netlist": {
-                "schema": "vlog-stats/1", "backend": "levelized",
-                "cycles": 428, "events": 58494, "evals_per_clock": 136.7,
-                "levelized": {
-                    "levels": 12, "partitions": 9,
-                    "partitions_evaluated": 561, "partitions_skipped": 3291,
-                    "skip_rate": 0.854
-                }
-            }
-        }"#;
-        let entries = entries_from_stats_json(text).expect("extracts");
-        let by_name =
-            |n: &str| entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}"));
-        assert_eq!(by_name("spam.netlist.levelized.cycles").value, 428.0);
-        assert_eq!(by_name("spam.netlist.levelized.events").value, 58494.0);
-        assert_eq!(by_name("spam.netlist.levelized.partitions").value, 9.0);
-        assert_eq!(by_name("spam.netlist.levelized.skip_rate").value, 0.854);
-        assert_eq!(by_name("spam.netlist.levelized.skip_rate").unit, "ratio");
-
-        // Event backend: no levelized sub-block, only the totals.
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam", "cycles": 103,
-            "netlist": {"schema": "vlog-stats/1", "backend": "event",
-                        "cycles": 428, "events": 120000, "evals_per_clock": 280.4}
-        }"#;
-        let entries = entries_from_stats_json(text).expect("extracts");
-        assert!(entries.iter().any(|e| e.name == "spam.netlist.event.events"));
-        assert!(!entries.iter().any(|e| e.name.contains("partitions")));
-
-        // Legacy report: the absent block adds nothing.
-        let text = r#"{"schema": "xsim-stats/1", "machine": "spam", "cycles": 10}"#;
-        let entries = entries_from_stats_json(text).expect("legacy report extracts");
-        assert!(!entries.iter().any(|e| e.name.contains("netlist")), "{entries:?}");
-    }
-
-    /// A pre-PR-4 stats report: no `opt`, no `timing_us`, no
-    /// `translate`, no `fields`. Extraction must succeed with just the
-    /// totals.
-    #[test]
-    fn legacy_pre_opt_stats_report_is_tolerated() {
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "cycles": 10, "instructions": 8, "stall_cycles": 2, "ipc": 0.8
-        }"#;
-        let entries = entries_from_stats_json(text).expect("legacy report extracts");
-        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["spam.cycles", "spam.instructions", "spam.stall_cycles", "spam.ipc"],
-            "exactly the totals, nothing invented"
-        );
-    }
-
-    /// A pre-PR-5 report (opt block but no timing/translate) with a
-    /// truncated field row and a partially-populated opt block.
-    #[test]
-    fn legacy_pre_profile_stats_report_is_tolerated() {
-        let text = r#"{
-            "schema": "xsim-stats/1", "machine": "spam",
-            "cycles": 10, "instructions": 8,
-            "opt": {"level": "2", "nodes_before": 12, "nodes_after": 9},
-            "fields": [{"name": "MAIN"}, {"name": "F", "utilization": 0.5}]
-        }"#;
-        let entries = entries_from_stats_json(text).expect("legacy report extracts");
-        let by_name =
-            |n: &str| entries.iter().find(|e| e.name == n).unwrap_or_else(|| panic!("entry {n}"));
-        assert_eq!(by_name("spam.opt.nodes_before").value, 12.0);
-        assert_eq!(by_name("spam.field.F.utilization").value, 0.5);
-        assert!(
-            !entries.iter().any(|e| e.name.contains("MAIN") || e.name.contains("translate")),
-            "rows missing keys are skipped, absent blocks add nothing: {entries:?}"
-        );
-        assert!(!entries.iter().any(|e| e.name.ends_with(".ipc")), "missing totals are skipped");
-    }
-
-    /// A legacy profile report whose region/pc tables predate the
-    /// `stall_cycles` split: malformed rows skip instead of erroring.
-    #[test]
-    fn legacy_profile_rows_are_tolerated() {
-        let text = r#"{
-            "schema": "xsim-profile/1", "machine": "spam",
-            "regions": [
-                {"name": "old", "cycles": 9},
-                {"name": "new", "cycles": 7, "stall_cycles": 1}
-            ],
-            "pcs": [
-                {"pc": 3, "stall_cycles": 2},
-                {"stall_cycles": 5}
-            ]
-        }"#;
-        let entries = entries_from_profile_json(text, 8).expect("legacy profile extracts");
-        let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
-        assert!(names.contains(&"spam.profile.region.new.cycles"), "{names:?}");
-        assert!(names.contains(&"spam.profile.pc3.stall_cycles"), "{names:?}");
-        assert!(!names.iter().any(|n| n.contains("old")), "row without stall_cycles skipped");
-        assert_eq!(entries.len(), 3, "one region pair plus one pc row");
-    }
-
-    #[test]
-    fn wrong_schema_is_rejected() {
-        let err = entries_from_stats_json(r#"{"schema":"xsim-stats/9"}"#).expect_err("rejects");
-        assert!(err.contains("unsupported schema"), "{err}");
-        assert!(entries_from_stats_json("not json").is_err());
-        let err = entries_from_explore_json(r#"{"cycles":1}"#).expect_err("rejects");
-        assert!(err.contains("missing `schema`"), "{err}");
+        let entries = parsed.get("entries").and_then(Json::as_arr).expect("entries");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].get_str("name"), Some("acc16.cycles"));
+        assert_eq!(entries[0].get_f64("value"), Some(4.0));
+        assert_eq!(entries[0].get_str("unit"), Some("cycles"));
     }
 }

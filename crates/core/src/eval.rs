@@ -8,7 +8,7 @@
 //! size and power come from the technology report — exactly the
 //! "Evaluation Statistics & Measurements" box of the paper's Figure 1.
 
-use crate::compiler::{compile, CompileError, Compiled, Kernel};
+use crate::compiler::{compile, CompileError, Kernel};
 use crate::fault::FaultPlan;
 use crate::watchdog::Deadline;
 use gensim::{Stats, StopReason, Xsim};
@@ -130,7 +130,10 @@ pub enum NetlistCheck {
     Run(vlog::SimBackend),
 }
 
-/// The merged measurements for one candidate.
+/// The merged measurements for one candidate. Every field is
+/// determined by the machine and the workload, so evaluations of one
+/// candidate compare equal with `==` (HGEN's wall-clock time belongs to
+/// Table 2, not here).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metrics {
     /// Total cycles over all kernels (including stalls).
@@ -149,26 +152,9 @@ pub struct Metrics {
     pub power_mw: f64,
     /// Lines of generated Verilog.
     pub lines_of_verilog: usize,
-    /// HGEN wall-clock time, seconds.
-    pub synthesis_time_s: f64,
 }
 
 impl Metrics {
-    /// Equality over everything the candidate machine determines,
-    /// ignoring `synthesis_time_s` — wall-clock time differs between
-    /// two otherwise identical runs.
-    #[must_use]
-    pub fn semantic_eq(&self, other: &Self) -> bool {
-        self.cycles == other.cycles
-            && self.instructions == other.instructions
-            && self.stall_cycles == other.stall_cycles
-            && self.cycle_ns == other.cycle_ns
-            && self.runtime_us == other.runtime_us
-            && self.area_cells == other.area_cells
-            && self.power_mw == other.power_mw
-            && self.lines_of_verilog == other.lines_of_verilog
-    }
-
     /// The metrics as a JSON object (field names match the struct;
     /// used inside the `archex-explore/1` schema).
     #[must_use]
@@ -182,7 +168,6 @@ impl Metrics {
             .with("area_cells", self.area_cells)
             .with("power_mw", self.power_mw)
             .with("lines_of_verilog", self.lines_of_verilog)
-            .with("synthesis_time_s", self.synthesis_time_s)
     }
 }
 
@@ -257,8 +242,6 @@ pub struct Evaluation {
     pub metrics: Metrics,
     /// Per-kernel simulator statistics (utilization feeds mutations).
     pub kernel_stats: Vec<KernelRun>,
-    /// The compiled kernels (for inspection / listings).
-    pub compiled: Vec<Compiled>,
     /// Compact per-kernel cycle-attribution summary (top regions by
     /// cycles, top stalled PCs with causes), or `Json::Null` when the
     /// evaluation ran unprofiled. Excluded from every `semantic_eq`.
@@ -555,7 +538,6 @@ pub fn evaluate_with(
     let assembler = Assembler::new(machine);
     let mut total = Stats::default();
     let mut kernel_stats = Vec::new();
-    let mut compiled_all = Vec::new();
     let mut kernel_profiles = Vec::new();
     let mut opt_block = obs::Json::Null;
     let mut check_runs: Vec<(xasm::Program, Xsim<'_>)> = Vec::new();
@@ -621,7 +603,6 @@ pub fn evaluate_with(
             nt_option_counts: count_nt_options(machine, &program),
             stats,
         });
-        compiled_all.push(compiled);
         if netlist != NetlistCheck::Off {
             check_runs.push((program, sim));
         }
@@ -651,10 +632,8 @@ pub fn evaluate_with(
             area_cells: hw.report.area_cells,
             power_mw: hw.report.power_mw,
             lines_of_verilog: hw.lines_of_verilog,
-            synthesis_time_s: hw.synthesis_time_s,
         },
         kernel_stats,
-        compiled: compiled_all,
         profile: if profile { profile_summary(&kernel_profiles) } else { obs::Json::Null },
         netlist_stats,
         opt: opt_block,
@@ -791,7 +770,6 @@ mod tests {
         assert!(ev.metrics.runtime_us > 0.0);
         assert!(ev.metrics.area_cells > 0.0);
         assert_eq!(ev.kernel_stats.len(), 1);
-        assert_eq!(ev.compiled.len(), 1);
     }
 
     #[test]
@@ -847,7 +825,7 @@ mod tests {
                 },
             )
             .expect("cross-check agrees");
-            assert!(plain.metrics.semantic_eq(&checked.metrics), "check is observational");
+            assert_eq!(plain.metrics, checked.metrics, "check is observational");
             assert_eq!(checked.netlist_stats.get_str("backend"), Some(backend.name()));
             let ks = checked
                 .netlist_stats
@@ -874,7 +852,7 @@ mod tests {
             &EvalOptions { hgen, profile: true, ..EvalOptions::default() },
         )
         .expect("evaluates profiled");
-        assert!(plain.metrics.semantic_eq(&profiled.metrics), "profiling is observational");
+        assert_eq!(plain.metrics, profiled.metrics, "profiling is observational");
         assert_eq!(plain.profile, obs::Json::Null);
         let ks = profiled.profile.get("kernels").and_then(obs::Json::as_arr).expect("kernels");
         assert_eq!(ks.len(), 1);

@@ -241,12 +241,10 @@ pub struct Step {
 
 impl Step {
     /// Equality over the deterministic content of the step (action,
-    /// score, and [`Metrics::semantic_eq`]).
+    /// score, and metrics).
     #[must_use]
     pub fn semantic_eq(&self, other: &Self) -> bool {
-        self.action == other.action
-            && self.score == other.score
-            && self.metrics.semantic_eq(&other.metrics)
+        self.action == other.action && self.score == other.score && self.metrics == other.metrics
     }
 }
 
@@ -439,14 +437,14 @@ impl Trace {
         self.evaluated + self.cache_hits
     }
 
-    /// Equality over everything deterministic in the trace: steps
-    /// (modulo wall-clock synthesis time), the final machine, and all
-    /// search counters. Two runs of the same exploration — at *any*
-    /// thread count — must compare equal under this. The fault-exposure
-    /// counters ([`Trace::attempts`], [`Trace::retried`],
-    /// [`Trace::error_histogram`]) are excluded: they describe what the
-    /// environment did to the run, not what the search found, and a
-    /// retried run must compare equal to an undisturbed one.
+    /// Equality over everything deterministic in the trace: steps, the
+    /// final machine, and all search counters. Two runs of the same
+    /// exploration — at *any* thread count — must compare equal under
+    /// this. The fault-exposure counters ([`Trace::attempts`],
+    /// [`Trace::retried`], [`Trace::error_histogram`]) are excluded:
+    /// they describe what the environment did to the run, not what the
+    /// search found, and a retried run must compare equal to an
+    /// undisturbed one.
     #[must_use]
     pub fn semantic_eq(&self, other: &Self) -> bool {
         self.steps.len() == other.steps.len()
@@ -1279,6 +1277,8 @@ impl Explorer {
     /// to `sink` — one JSON line per completed round (see
     /// `docs/ROBUSTNESS.md`). A run killed at any point leaves a
     /// journal from which [`Explorer::resume`] continues bit-exactly.
+    /// The journal holds no wall-clock value, so its bytes are
+    /// identical across runs and thread counts.
     ///
     /// # Errors
     ///

@@ -19,10 +19,12 @@
 //!    `beam`;
 //! 4. a final **`done`** event.
 //!
-//! # Line integrity (`/2`)
+//! No event carries a wall-clock value, so a run's journal is
+//! byte-identical across runs and thread counts.
 //!
-//! Since `archex-journal/2`, every line wraps its event in an
-//! integrity envelope:
+//! # Line integrity
+//!
+//! Every line wraps its event in an integrity envelope:
 //!
 //! ```text
 //! {"seq": N, "data": {…event…}, "crc": "xxxxxxxx"}
@@ -43,10 +45,6 @@
 //! journal prefix — steps, rounds, counters, cache entries, and the
 //! beam — into one resumable line.
 //!
-//! The `/1` reader is retained: journals written before the envelope
-//! existed still parse (with only torn-final-line protection) and
-//! resume bit-identically.
-//!
 //! [`crate::Explorer::resume`] replays the journal — preloading the
 //! evaluation cache, restoring steps, rounds, counters, and the beam — and
 //! continues the run, producing a final [`crate::Trace`] that is
@@ -61,17 +59,13 @@ use gensim::Stats;
 use isdl::model::{FieldId, NtId, OpRef};
 use isdl::Machine;
 use obs::Json;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 
 /// Schema identifier of the journal line format. Bump the suffix on
 /// breaking changes.
 pub const JOURNAL_SCHEMA: &str = "archex-journal/2";
-
-/// The previous journal schema: bare event lines with no integrity
-/// envelope. Still accepted by the reader.
-pub const JOURNAL_SCHEMA_V1: &str = "archex-journal/1";
 
 /// Why journaling or resuming failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,9 +204,8 @@ fn kernel_run_to_json(k: &KernelRun) -> Json {
         )
 }
 
-/// An [`Evaluation`] as JSON. The compiled listings are not
-/// serialized — nothing downstream of the explorer reads them — and
-/// come back empty from [`evaluation_from_json`].
+/// An [`Evaluation`] as JSON. The netlist cross-check's stats are not
+/// serialized and come back `null` from [`evaluation_from_json`].
 fn evaluation_to_json(ev: &Evaluation) -> Json {
     Json::obj()
         .with("metrics", ev.metrics.to_json())
@@ -308,7 +301,7 @@ impl<'a> JournalWriter<'a> {
         self.seq
     }
 
-    /// Writes one event inside the `/2` integrity envelope and flushes
+    /// Writes one event inside the integrity envelope and flushes
     /// the sink — every event is a checkpoint boundary (with
     /// [`SyncFile`], an fsynced one).
     fn write(&mut self, data: &Json) -> Result<(), JournalError> {
@@ -401,11 +394,11 @@ impl<'a> JournalWriter<'a> {
     }
 }
 
-/// Collapses a journal — `/1` or `/2`, finished or not — into an
-/// equivalent two-line `/2` journal: the (schema-upgraded) header plus
-/// one `snapshot` event holding the replayed steps, rounds, counters,
-/// cache entries, and current machine. Resuming the compacted journal
-/// produces the same final trace as resuming the original.
+/// Collapses a journal — finished or not — into an equivalent two-line
+/// journal: its header plus one `snapshot` event holding the replayed
+/// steps, rounds, counters, cache entries, and current machine.
+/// Resuming the compacted journal produces the same final trace as
+/// resuming the original.
 ///
 /// Exposed on the CLI as `isdlc journal compact`.
 ///
@@ -417,22 +410,16 @@ impl<'a> JournalWriter<'a> {
 /// to know the run's configuration.
 pub fn compact(journal: &str) -> Result<String, JournalError> {
     let mut events = parse_lines(journal)?.into_iter();
-    let Some((header_line, mut header)) = events.next() else {
+    let Some((header_line, header)) = events.next() else {
         return Err(JournalError::Mismatch("journal is empty".to_owned()));
     };
-    if header.get_str("schema").is_none() {
-        return Err(JournalError::Parse {
-            line: header_line,
-            message: "missing `schema`".to_owned(),
-        });
-    }
+    check_schema(&header).map_err(|message| JournalError::Parse { line: header_line, message })?;
     let replay = fold_events(events)?;
     if replay.steps.is_empty() {
         return Err(JournalError::Mismatch(
             "journal records no initial evaluation; nothing to compact".to_owned(),
         ));
     }
-    header.insert("schema", JOURNAL_SCHEMA);
     let mut out: Vec<u8> = Vec::new();
     let mut writer = JournalWriter::new(&mut out);
     writer.write(&header)?;
@@ -479,7 +466,6 @@ fn metrics_from_json(j: &Json) -> Result<Metrics, String> {
         area_cells: f("area_cells")?,
         power_mw: f("power_mw")?,
         lines_of_verilog: u("lines_of_verilog")? as usize,
-        synthesis_time_s: f("synthesis_time_s")?,
     })
 }
 
@@ -544,14 +530,7 @@ fn evaluation_from_json(j: &Json) -> Result<Evaluation, String> {
     // those observational blocks.
     let profile = j.get("profile").cloned().unwrap_or(Json::Null);
     let opt = j.get("opt").cloned().unwrap_or(Json::Null);
-    Ok(Evaluation {
-        metrics,
-        kernel_stats,
-        compiled: Vec::new(),
-        profile,
-        netlist_stats: Json::Null,
-        opt,
-    })
+    Ok(Evaluation { metrics, kernel_stats, profile, netlist_stats: Json::Null, opt })
 }
 
 fn entries_from_json(j: &Json) -> Result<JournalEntries, String> {
@@ -591,26 +570,22 @@ fn round_from_json(r: &Json) -> Result<FrontierRound, String> {
 }
 
 /// The cumulative run counters of an `init`, `round`, or `snapshot`
-/// event. The fault counters postdate `/1` and default when absent, as
-/// do the skip counters `/1` `init` events lack (nothing is skipped
-/// before the first round).
+/// event.
 fn counters_from_json(j: &Json) -> Result<Counters, String> {
-    let evaluated = get_usize(j, "evaluated")?;
-    let error_histogram = match j.get("error_histogram") {
-        Some(Json::Obj(members)) => members
+    let Some(Json::Obj(histogram)) = j.get("error_histogram") else {
+        return Err("missing object `error_histogram`".to_owned());
+    };
+    Ok(Counters {
+        evaluated: get_usize(j, "evaluated")?,
+        cache_hits: get_usize(j, "cache_hits")?,
+        skipped_errors: get_usize(j, "skipped")?,
+        first_error: j.get_str("first_error").map(str::to_owned),
+        attempts: get_usize(j, "attempts")?,
+        retried: get_usize(j, "retried")?,
+        error_histogram: histogram
             .iter()
             .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n as usize)))
             .collect(),
-        _ => BTreeMap::new(),
-    };
-    Ok(Counters {
-        evaluated,
-        cache_hits: get_usize(j, "cache_hits")?,
-        skipped_errors: j.get_u64("skipped").map_or(0, |n| n as usize),
-        first_error: j.get_str("first_error").map(str::to_owned),
-        attempts: j.get_u64("attempts").map_or(evaluated, |n| n as usize),
-        retried: j.get_u64("retried").map_or(0, |n| n as usize),
-        error_histogram,
     })
 }
 
@@ -632,13 +607,15 @@ fn beam_from_json(j: &Json) -> Result<Vec<Machine>, String> {
     Ok(beam)
 }
 
-fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(), String> {
-    let schema = header.get_str("schema").ok_or("missing `schema`")?;
-    if schema != JOURNAL_SCHEMA && schema != JOURNAL_SCHEMA_V1 {
-        return Err(format!(
-            "schema `{schema}`, expected `{JOURNAL_SCHEMA}` (or `{JOURNAL_SCHEMA_V1}`)"
-        ));
+fn check_schema(header: &Json) -> Result<(), String> {
+    match header.get_str("schema").ok_or("missing `schema`")? {
+        JOURNAL_SCHEMA => Ok(()),
+        schema => Err(format!("schema `{schema}`, expected `{JOURNAL_SCHEMA}`")),
     }
+}
+
+fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(), String> {
+    check_schema(header)?;
     let strategy = header.get_str("strategy").ok_or("missing `strategy`")?;
     if strategy != strategy_name(&explorer.strategy) {
         return Err(format!(
@@ -659,14 +636,12 @@ fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(
     if steps != explorer.max_steps {
         return Err(format!("journal max_steps {steps} != explorer {}", explorer.max_steps));
     }
-    // `/1` headers have no retry policy; validate only when present.
-    if let Some(a) = header.get_u64("max_attempts") {
-        if a as usize != explorer.retry.max_attempts {
-            return Err(format!(
-                "journal max_attempts {a} != explorer {}",
-                explorer.retry.max_attempts
-            ));
-        }
+    let attempts = get_usize(header, "max_attempts")?;
+    if attempts != explorer.retry.max_attempts {
+        return Err(format!(
+            "journal max_attempts {attempts} != explorer {}",
+            explorer.retry.max_attempts
+        ));
     }
     let obj = header.get("objective").ok_or("missing `objective`")?;
     let journaled = Objective {
@@ -684,15 +659,11 @@ fn check_header(header: &Json, explorer: &Explorer, start: &Machine) -> Result<(
     Ok(())
 }
 
-/// Splits a journal into `(line number, event)` pairs, verifying the
-/// `/2` integrity envelope when present.
-///
-/// Version dispatch is structural: a `/2` journal wraps every line in
-/// the `{"seq": …` envelope the writer emits, a `/1` journal starts
-/// with a bare header object. For `/2`, every line's CRC must match
-/// its content and the sequence numbers must count 0, 1, 2, … — any
-/// violation is [`JournalError::Corrupt`] with the line number. For
-/// both versions, an unparseable *final* line is tolerated as a torn
+/// Splits a journal into `(line number, event)` pairs, verifying every
+/// line's integrity envelope: its CRC must match its content and the
+/// sequence numbers must count 0, 1, 2, … — any violation, including a
+/// line with no envelope at all, is [`JournalError::Corrupt`] with the
+/// line number. An unparseable *final* line is tolerated as a torn
 /// write from a kill; anywhere else it is [`JournalError::Parse`].
 fn parse_lines(journal: &str) -> Result<Vec<(usize, Json)>, JournalError> {
     let lines: Vec<(usize, &str)> = journal
@@ -701,7 +672,6 @@ fn parse_lines(journal: &str) -> Result<Vec<(usize, Json)>, JournalError> {
         .map(|(i, l)| (i + 1, l))
         .filter(|(_, l)| !l.trim().is_empty())
         .collect();
-    let v2 = lines.first().is_some_and(|(_, l)| l.starts_with("{\"seq\""));
     let mut events = Vec::with_capacity(lines.len());
     for (idx, (line_no, text)) in lines.iter().enumerate() {
         let line = *line_no;
@@ -712,10 +682,6 @@ fn parse_lines(journal: &str) -> Result<Vec<(usize, Json)>, JournalError> {
             Err(_) if idx + 1 == lines.len() => break,
             Err(message) => return Err(JournalError::Parse { line, message }),
         };
-        if !v2 {
-            events.push((line, j));
-            continue;
-        }
         // Corruption is a post-mortem situation by definition — attach
         // a flight dump so the operator sees what the process was doing
         // when it hit the bad line.
@@ -723,7 +689,9 @@ fn parse_lines(journal: &str) -> Result<Vec<(usize, Json)>, JournalError> {
             line,
             message: format!("{message} [{}]", obs::flight::capture("journal_corrupt")),
         };
-        let seq = j.get_u64("seq").ok_or_else(|| corrupt("envelope missing `seq`".to_owned()))?;
+        let seq = j
+            .get_u64("seq")
+            .ok_or_else(|| corrupt(format!("no `seq`: not an `{JOURNAL_SCHEMA}` envelope")))?;
         let stated =
             j.get_str("crc").ok_or_else(|| corrupt("envelope missing `crc`".to_owned()))?;
         let data =
@@ -807,8 +775,8 @@ impl Replay {
     /// Parses and validates `journal` against the explorer
     /// configuration and starting machine. A partial trailing line is
     /// ignored (the writing run was killed mid-write); any other
-    /// malformed line is an error, and in a `/2` journal any integrity
-    /// violation — anywhere — is [`JournalError::Corrupt`].
+    /// malformed line is an error, and any integrity violation —
+    /// anywhere — is [`JournalError::Corrupt`].
     pub(crate) fn parse(
         journal: &str,
         explorer: &Explorer,

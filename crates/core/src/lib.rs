@@ -19,6 +19,11 @@
 //!    constraints that unlock resource sharing — and iterates until no
 //!    candidate improves the objective.
 //!
+//! A run can stream an `archex-journal/2` checkpoint journal
+//! ([`journal`]) and resume from any prefix of it. Every evaluation
+//! metric is deterministic, so a run's journal is byte-identical at
+//! every thread count.
+//!
 //! # Examples
 //!
 //! ```
@@ -52,5 +57,5 @@ pub use explore::{
     PROGRESS_SCHEMA,
 };
 pub use fault::{FaultKind, FaultPlan};
-pub use journal::{compact, JournalError, SyncFile, JOURNAL_SCHEMA, JOURNAL_SCHEMA_V1};
+pub use journal::{compact, JournalError, SyncFile, JOURNAL_SCHEMA};
 pub use watchdog::Deadline;

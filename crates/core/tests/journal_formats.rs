@@ -1,15 +1,15 @@
-//! Journal format gates: the checked-in `archex-journal/1` fixture
-//! must still resume bit-identically under the `/2` reader
-//! (backward compatibility), every corruption of a `/2` journal must
-//! be rejected with a line-numbered [`JournalError`], and
-//! [`archex::journal::compact`] must produce a journal that resumes to
-//! the same final trace.
+//! Journal format gates: the checked-in `archex-journal/2` recording
+//! must still resume from every prefix to the fresh run's trace, a
+//! run's journal must be byte-identical across runs and thread counts,
+//! every corruption must be rejected with a line-numbered
+//! [`JournalError`], and [`archex::journal::compact`] must produce a
+//! journal that resumes to the same final trace.
 
 use archex::{compact, workloads, EvalCache, Explorer, JournalError, Strategy};
 
-/// The explorer configuration the `toy_v1.jsonl` fixture was written
-/// with (pre-`/2` writer: TOY machine, `dot_product(3)`, 6 steps,
-/// 2 threads).
+/// The explorer configuration the `toy_v2.jsonl` fixture was written
+/// with (TOY machine, `dot_product(3)`, 6 steps, 2 threads): it holds
+/// exactly what [`journaled_run`] of this explorer wrote.
 fn fixture_explorer() -> Explorer {
     Explorer { max_steps: 6, threads: 2, ..Explorer::default() }
 }
@@ -18,9 +18,9 @@ fn toy() -> isdl::Machine {
     isdl::load(isdl::samples::TOY).expect("TOY fixture loads")
 }
 
-fn v1_fixture() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/toy_v1.jsonl");
-    std::fs::read_to_string(path).expect("v1 fixture is checked in")
+fn recorded_journal() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/toy_v2.jsonl");
+    std::fs::read_to_string(path).expect("recorded journal is checked in")
 }
 
 /// Runs the fixture's exploration journaled with the current writer,
@@ -35,35 +35,70 @@ fn journaled_run(e: &Explorer) -> (archex::Trace, String) {
 }
 
 #[test]
-fn v1_fixture_resumes_bit_identically_under_the_v2_reader() {
+fn recorded_journal_resumes_from_every_prefix() {
     let e = fixture_explorer();
     let kernels = vec![workloads::dot_product(3)];
     let fresh = e.run(&toy(), &kernels).expect("fresh run");
-    let journal = v1_fixture();
-    assert!(
-        journal.lines().next().is_some_and(|l| l.contains("archex-journal/1")),
-        "fixture is a v1 journal"
-    );
+    let journal = recorded_journal();
 
-    // The complete fixture replays without re-evaluating anything.
+    // The complete recording replays without re-evaluating anything.
     let resumed =
-        e.resume(&toy(), &kernels, &EvalCache::new(), &journal).expect("v1 journal resumes");
+        e.resume(&toy(), &kernels, &EvalCache::new(), &journal).expect("recording resumes");
     assert!(
         fresh.semantic_eq(&resumed),
-        "v1 fixture no longer replays the run it recorded:\n  fresh   {:?}\n  resumed {:?}",
+        "the recording no longer replays the run it recorded:\n  fresh   {:?}\n  resumed {:?}",
         fresh.steps.iter().map(|s| &s.action).collect::<Vec<_>>(),
         resumed.steps.iter().map(|s| &s.action).collect::<Vec<_>>(),
     );
 
-    // Every kill prefix of the fixture resumes to the same trace.
+    // Every kill prefix of the recording resumes to the same trace.
     let lines: Vec<&str> = journal.lines().collect();
     for k in 2..=lines.len() {
         let partial = lines[..k].join("\n");
         let resumed = e
             .resume(&toy(), &kernels, &EvalCache::new(), &partial)
-            .unwrap_or_else(|err| panic!("v1 resume from {k} lines failed: {err}"));
-        assert!(fresh.semantic_eq(&resumed), "v1 resume from {k} lines diverges");
+            .unwrap_or_else(|err| panic!("resume from {k} lines failed: {err}"));
+        assert!(fresh.semantic_eq(&resumed), "resume from {k} lines diverges");
     }
+
+    // Its compaction resumes to the same trace too.
+    let compacted = compact(&journal).expect("recording compacts");
+    let resumed = e
+        .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
+        .expect("compacted recording resumes");
+    assert!(fresh.semantic_eq(&resumed), "compacted recording diverged on resume");
+}
+
+#[test]
+fn journals_are_byte_identical_across_thread_counts() {
+    for strategy in [Strategy::Greedy, Strategy::Beam { width: 3 }] {
+        let journal =
+            |threads| journaled_run(&Explorer { strategy, threads, ..fixture_explorer() }).1;
+        let (one, four) = (journal(1), journal(4));
+        let first_diff = one.lines().zip(four.lines()).position(|(a, b)| a != b);
+        assert!(one == four, "{strategy:?}: threads 1 and 4 differ from line index {first_diff:?}");
+    }
+}
+
+#[test]
+fn a_bare_v1_header_is_rejected_at_line_one() {
+    // The header of an `archex-journal/1` recording: a bare event
+    // line, no integrity envelope.
+    let v1 = concat!(
+        r#"{"schema": "archex-journal/1", "machine": "toy", "strategy": "greedy", "#,
+        r#""max_steps": 6, "objective": {"runtime": 1, "area": 1, "power": 0.25}, "#,
+        r#""start": "2388a918584736a8"}"#,
+    );
+    let e = fixture_explorer();
+    let kernels = vec![workloads::dot_product(3)];
+    let err = e.resume(&toy(), &kernels, &EvalCache::new(), v1).expect_err("resume rejects it");
+    assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "resume: got {err}");
+    let mut sink = Vec::new();
+    let err = e
+        .resume_or_start_journaled(&toy(), &kernels, &EvalCache::new(), v1, &mut sink)
+        .expect_err("no fresh run starts over it");
+    assert!(matches!(err, JournalError::Corrupt { line: 1, .. }), "resume_or_start: got {err}");
+    assert!(sink.is_empty(), "nothing was journaled");
 }
 
 #[test]
@@ -148,17 +183,4 @@ fn compact_resumes_to_the_same_final_trace() {
         let err = compact(&corrupt.join("\n")).expect_err("corrupt journal rejected");
         assert!(matches!(err, JournalError::Corrupt { line: 3, .. }), "{strategy:?}: got {err}");
     }
-
-    // Compacting a v1 journal upgrades it to `/2`.
-    let e = fixture_explorer();
-    let compacted = compact(&v1_fixture()).expect("v1 journal compacts");
-    assert!(
-        compacted.lines().next().is_some_and(|l| l.contains("archex-journal/2")),
-        "compaction upgrades the schema"
-    );
-    let resumed = e
-        .resume(&toy(), &kernels, &EvalCache::new(), &compacted)
-        .expect("compacted v1 journal resumes");
-    let fresh = e.run(&toy(), &kernels).expect("fresh run");
-    assert!(fresh.semantic_eq(&resumed), "compacted v1 journal diverged on resume");
 }

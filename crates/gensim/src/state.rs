@@ -175,66 +175,14 @@ impl State {
         cycle >= self.next_due
     }
 
-    /// Whether any staged-but-uncommitted write targets `storage`.
-    #[must_use]
-    pub fn has_pending_for(&self, storage: StorageId) -> bool {
-        self.pending.iter().any(|p| p.storage == storage)
-    }
-
-    /// Commits every staged write whose visibility cycle is `<= cycle`.
-    /// Returns the storages touched (deduplicated) so the scheduler can
-    /// react (e.g. invalidate decoded instructions on imem writes).
+    /// Commits every staged write whose visibility cycle is `<= cycle`
+    /// and pushes the (depth-wrapped) cell index of every committed
+    /// write into `watch` onto `dirty`, so the scheduler can invalidate
+    /// decode/translation caches *precisely* — only the entries a store
+    /// can actually affect — instead of dropping them wholesale.
     ///
     /// Writes staged earlier commit first, so within one cycle the
     /// later (in field order) of two conflicting writes wins.
-    pub fn commit_due(&mut self, cycle: u64) -> Vec<StorageId> {
-        let mut touched = Vec::new();
-        if cycle < self.next_due {
-            return touched;
-        }
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].visible_at <= cycle {
-                let p = self.pending.remove(i);
-                self.apply(&p, cycle);
-                if !touched.contains(&p.storage) {
-                    touched.push(p.storage);
-                }
-            } else {
-                i += 1;
-            }
-        }
-        self.recompute_next_due();
-        touched
-    }
-
-    /// Allocation-free variant of [`Self::commit_due`] for the hot
-    /// path: commits due writes and reports only whether `watch` was
-    /// among the touched storages.
-    pub fn commit_due_watching(&mut self, cycle: u64, watch: StorageId) -> bool {
-        if cycle < self.next_due {
-            return false;
-        }
-        let mut hit = false;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].visible_at <= cycle {
-                let p = self.pending.remove(i);
-                self.apply(&p, cycle);
-                hit |= p.storage == watch;
-            } else {
-                i += 1;
-            }
-        }
-        self.recompute_next_due();
-        hit
-    }
-
-    /// Like [`Self::commit_due_watching`], but pushes the (depth-
-    /// wrapped) cell index of every committed write into `watch` onto
-    /// `dirty`, so the scheduler can invalidate decode/translation
-    /// caches *precisely* — only the entries a store can actually
-    /// affect — instead of dropping them wholesale.
     pub fn commit_due_collecting(&mut self, cycle: u64, watch: StorageId, dirty: &mut Vec<u64>) {
         if cycle < self.next_due {
             return;
@@ -355,6 +303,14 @@ mod tests {
         m.storage_by_name("RF").expect("RF exists").0
     }
 
+    /// Commits the writes due at `cycle`, returning the cells of
+    /// `watch` they wrote.
+    fn commit(s: &mut State, cycle: u64, watch: StorageId) -> Vec<u64> {
+        let mut dirty = Vec::new();
+        s.commit_due_collecting(cycle, watch, &mut dirty);
+        dirty
+    }
+
     #[test]
     fn fresh_state_is_zero() {
         let (m, s) = state();
@@ -385,13 +341,12 @@ mod tests {
     fn staged_write_commits_at_latency() {
         let (m, mut s) = state();
         let rf = rf(&m);
-        s.stage_write(rf, 2, 15, 0, BitVector::from_u64(5, 16), 3);
+        s.stage_write(rf, 10, 15, 0, BitVector::from_u64(5, 16), 3);
         assert!(s.read(rf, 2).is_zero());
-        s.commit_due(2);
+        assert!(commit(&mut s, 2, rf).is_empty());
         assert!(s.read(rf, 2).is_zero());
-        let touched = s.commit_due(3);
+        assert_eq!(commit(&mut s, 3, rf), vec![2], "index wraps at depth");
         assert_eq!(s.read(rf, 2).to_u64_lossy(), 5);
-        assert_eq!(touched, vec![rf]);
     }
 
     #[test]
@@ -400,7 +355,7 @@ mod tests {
         let acc = m.storage_by_name("ACC").expect("ACC").0;
         s.poke(acc, 0, BitVector::from_u64(0xFF00, 16));
         s.stage_write(acc, 0, 7, 0, BitVector::from_u64(0xAB, 8), 1);
-        s.commit_due(1);
+        assert!(commit(&mut s, 1, rf(&m)).is_empty(), "only the watched storage is collected");
         assert_eq!(s.read(acc, 0).to_u64_lossy(), 0xFFAB);
     }
 
@@ -410,7 +365,7 @@ mod tests {
         let acc = m.storage_by_name("ACC").expect("ACC").0;
         s.stage_write(acc, 0, 15, 0, BitVector::from_u64(1, 16), 1);
         s.stage_write(acc, 0, 15, 0, BitVector::from_u64(2, 16), 1);
-        s.commit_due(1);
+        assert_eq!(commit(&mut s, 1, acc), vec![0, 0]);
         assert_eq!(s.read(acc, 0).to_u64_lossy(), 2);
     }
 
@@ -421,7 +376,7 @@ mod tests {
         s.add_monitor(Monitor::watch(rf, Some(1)));
         s.stage_write(rf, 1, 15, 0, BitVector::from_u64(9, 16), 1);
         s.stage_write(rf, 2, 15, 0, BitVector::from_u64(9, 16), 1); // not watched
-        s.commit_due(1);
+        commit(&mut s, 1, rf);
         let events = s.take_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].index, 1);
@@ -435,12 +390,12 @@ mod tests {
         let rf = rf(&m);
         s.add_monitor(Monitor::watch(rf, None));
         s.stage_write(rf, 0, 15, 0, BitVector::zero(16), 1);
-        s.commit_due(1);
+        commit(&mut s, 1, rf);
         assert!(s.take_events().is_empty());
         s.clear_monitors();
         s.add_monitor(Monitor { storage: rf, index: None, only_changes: false, command: None });
         s.stage_write(rf, 0, 15, 0, BitVector::zero(16), 2);
-        s.commit_due(2);
+        commit(&mut s, 2, rf);
         assert_eq!(s.take_events().len(), 1);
     }
 

@@ -25,17 +25,6 @@ pub enum Tok {
     Eof,
 }
 
-impl Tok {
-    /// Returns the punctuation string if this is a [`Tok::Punct`].
-    #[must_use]
-    pub fn as_punct(&self) -> Option<&'static str> {
-        match self {
-            Self::Punct(p) => Some(p),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for Tok {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -27,7 +27,7 @@ use crate::json::Json;
 use crate::log::{self, Level};
 use crate::trace::{RingSink, TraceSink};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -35,12 +35,9 @@ use std::time::Instant;
 /// changes.
 pub const DUMP_SCHEMA: &str = "flight-dump/1";
 
-/// Default per-thread ring capacity (events).
+/// Events retained per thread ring.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// Events retained per thread ring; applies to rings created after
-/// the change.
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 /// Global event order across shards.
 static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Dumps taken by [`capture`] since process start.
@@ -65,7 +62,7 @@ thread_local! {
 fn with_shard<R>(f: impl FnOnce(u64, &Mutex<RingSink>) -> R) -> R {
     SHARD.with(|cell| {
         let (id, ring) = cell.get_or_init(|| {
-            let ring = Arc::new(Mutex::new(RingSink::new(CAPACITY.load(Ordering::Relaxed))));
+            let ring = Arc::new(Mutex::new(RingSink::new(DEFAULT_CAPACITY)));
             let mut shards = SHARDS.lock().expect("flight shard list lock");
             let id = shards.len() as u64;
             shards.push((id, Arc::clone(&ring)));
@@ -73,12 +70,6 @@ fn with_shard<R>(f: impl FnOnce(u64, &Mutex<RingSink>) -> R) -> R {
         });
         f(*id, ring)
     })
-}
-
-/// Sets the per-thread ring capacity for rings created from now on
-/// (min 1; existing rings keep their size).
-pub fn set_capacity(events: usize) {
-    CAPACITY.store(events.max(1), Ordering::Relaxed);
 }
 
 /// Directs [`capture`] to write dump files into `dir` (`None` reverts

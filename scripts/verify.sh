@@ -27,10 +27,11 @@ run cargo build --release
 run cargo test -q
 # Robustness gates (see docs/ROBUSTNESS.md): fault containment,
 # deterministic retry/deadline supervision, and journaled
-# checkpoint/resume (including the `/1` fixture and the corruption
-# matrix) must stay deterministic. All suites run inside `cargo test
-# -q` above too; naming them here keeps the gates explicit and the
-# failure output focused.
+# checkpoint/resume (including the recorded journal fixture, journals
+# byte-identical across thread counts, and the corruption matrix) must
+# stay deterministic. All suites run inside `cargo test -q` above too;
+# naming them here keeps the gates explicit and the failure output
+# focused.
 run cargo test -q -p archex
 # obs unit tests share the process-wide log dispatcher and flight
 # recorder; they serialize on one crate-level guard and must pass at

@@ -49,27 +49,11 @@ fn canonical(trace_path: &Path) -> String {
         .expect("steps array")
         .iter()
         .map(|s| {
-            // Every metric except `synthesis_time_s`, which measures
-            // host wall time and is legitimately non-deterministic.
-            let m = s.get("metrics").expect("metrics");
-            let deterministic: Vec<String> = [
-                "cycles",
-                "instructions",
-                "stall_cycles",
-                "cycle_ns",
-                "runtime_us",
-                "area_cells",
-                "power_mw",
-                "lines_of_verilog",
-            ]
-            .iter()
-            .map(|k| format!("{k}={}", m.get(k).expect("metric present")))
-            .collect();
             format!(
-                "{} @ {:.9} ({})",
+                "{} @ {:.9} {}",
                 s.get_str("action").expect("action"),
                 s.get_f64("score").expect("score"),
-                deterministic.join(" "),
+                s.get("metrics").expect("metrics"),
             )
         })
         .collect();
