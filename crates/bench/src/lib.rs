@@ -1,24 +1,23 @@
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used)]
 
-//! Shared scaffolding for the benchmark harness that regenerates every
-//! table and figure of the paper's evaluation (see `DESIGN.md` §3 and
-//! `EXPERIMENTS.md` for the paper-vs-measured record).
+//! Shared workloads and renderers for the paper's evaluation (see
+//! `DESIGN.md` §3 and `EXPERIMENTS.md` for the paper-vs-measured
+//! record).
 //!
-//! The Criterion benches under `benches/` and the `table1`/`table2`
-//! binaries in the umbrella crate all build on these helpers so that
-//! every experiment runs the exact same workload.
+//! The `table1`/`table2` binaries in the umbrella crate, the
+//! `experiments_doc` test that checks `EXPERIMENTS.md`, and the layered
+//! benchmark under `perfbench/` all build on these helpers, so every
+//! experiment runs the exact same workload.
 
 pub mod report;
 
 pub use report::{bench_json, BenchEntry, BENCH_SCHEMA};
 
 use archex::{compile, workloads, Explorer, Kernel, Strategy, Trace};
-use bitv::BitVector;
 use gensim::{StopReason, Xsim, XsimOptions};
 use hgen::{synthesize, HgenOptions, HgenResult};
 use isdl::Machine;
-use vlog::sim::NetlistSim;
 use vlog::{AnySim, SimBackend};
 use xasm::{Assembler, Program};
 
@@ -91,31 +90,8 @@ pub fn netlist_with_fir(machine: &Machine, backend: SimBackend) -> (HgenResult, 
     let program = fir_program(machine);
     let hw = synthesize(machine, HgenOptions::default()).expect("synthesizes");
     let mut sim = hw.simulator(backend).expect("elaborates");
-    let imem = machine.storage(machine.imem.expect("imem")).name.clone();
-    for (a, w) in program.words.iter().enumerate() {
-        sim.poke_memory(&imem, a as u64, w.clone()).expect("pokes");
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width)).expect("pokes");
-        }
-    }
+    hgen::load_program(machine, &mut sim, &program).expect("the program loads");
     (hw, sim)
-}
-
-/// An elaborated event-driven netlist simulator with the FIR program
-/// loaded — the "synthesizable Verilog" row of Table 1.
-///
-/// # Panics
-///
-/// Panics if synthesis or elaboration fails.
-#[must_use]
-pub fn hardware_with_fir(machine: &Machine) -> (HgenResult, NetlistSim) {
-    let (hw, sim) = netlist_with_fir(machine, SimBackend::Event);
-    let AnySim::Event(sim) = sim else { unreachable!("event backend requested") };
-    (hw, *sim)
 }
 
 /// The DSP workload every exploration benchmark and ablation runs:

@@ -667,19 +667,7 @@ fn netlist_cross_check(
         EvalError::NetlistMismatch { kernel: kernel.to_owned(), message }
     };
     let mut sim = hw.simulator(backend).map_err(|e| fail(e.to_string()))?;
-    let imem = &machine.storage(machine.imem.expect("validated machines have an imem")).name;
-    let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        sim.poke_memory(imem, a as u64, word.trunc(w).zext(w)).map_err(|e| fail(e.to_string()))?;
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, bitv::BitVector::from_i64(v, dm.width))
-                .map_err(|e| fail(e.to_string()))?;
-        }
-    }
+    hgen::load_program(machine, &mut sim, program).map_err(|e| fail(e.to_string()))?;
     // The hardware stalls at most as many extra cycles as the ILS
     // charged, and compiled kernels end in a state-neutral self-loop.
     sim.clock(4 * xsim.stats().cycles + 16).map_err(|e| fail(e.to_string()))?;

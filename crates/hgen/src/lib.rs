@@ -51,5 +51,5 @@ pub mod testbench;
 pub use decode::DecodeStyle;
 pub use emit::EmitStats;
 pub use share::ShareOptions;
-pub use synth::{synthesize, HgenOptions, HgenResult};
+pub use synth::{load_program, synthesize, HgenOptions, HgenResult};
 pub use testbench::{emit_testbench, TestbenchOptions};

@@ -4,7 +4,7 @@
 use crate::decode::DecodeStyle;
 use crate::emit::{emit, EmitStats};
 use crate::share::ShareOptions;
-use isdl::model::Machine;
+use isdl::model::{Machine, StorageKind};
 use std::time::Instant;
 use vlog::ast::VModule;
 use vlog::tech::{self, TechReport};
@@ -66,6 +66,38 @@ impl HgenResult {
     pub fn simulator(&self, backend: vlog::SimBackend) -> Result<vlog::AnySim, VlogError> {
         vlog::AnySim::elaborate(&self.module, backend)
     }
+}
+
+/// Loads an assembled program into a netlist simulator of `machine`'s
+/// generated hardware, as `Xsim::load_program` does for the ILS: the
+/// instruction words, sized to `machine.word_width`, into the
+/// instruction memory, and the `.data` image, sized to the data
+/// memory's width, into the data memory.
+///
+/// # Errors
+///
+/// The netlist lacks a memory the program needs.
+///
+/// # Panics
+///
+/// If the machine has no instruction memory, which [`synthesize`]
+/// rejects too.
+pub fn load_program(
+    machine: &Machine,
+    sim: &mut vlog::AnySim,
+    program: &xasm::Program,
+) -> Result<(), VlogError> {
+    let imem = &machine.storage(machine.imem.expect("synthesizable machines have an imem")).name;
+    let w = machine.word_width;
+    for (a, word) in program.words.iter().enumerate() {
+        sim.poke_memory(imem, a as u64, word.trunc(w).zext(w))?;
+    }
+    if let Some(dm) = machine.storages.iter().find(|s| s.kind == StorageKind::DataMemory) {
+        for &(addr, v) in &program.data {
+            sim.poke_memory(&dm.name, addr, bitv::BitVector::from_i64(v, dm.width))?;
+        }
+    }
+    Ok(())
 }
 
 /// Runs the full HGEN flow: datapath construction, resource sharing,

@@ -11,10 +11,8 @@
 //! Cost model: [`note`] is meant for *coarse* breadcrumbs — pipeline
 //! stage entries, retries, journal rounds — a handful per evaluation,
 //! not per instruction. Each call is one thread-local ring push plus
-//! one clock read, always on, no configuration required; the
-//! `ablation_obs_overhead` bench holds this flat against an
-//! uninstrumented run. High-frequency events belong on the gated
-//! [`log`] path instead.
+//! one clock read, always on, no configuration required.
+//! High-frequency events belong on the gated [`log`] path instead.
 //!
 //! A dump is taken with [`capture`]: when a dump directory is
 //! configured (see [`set_dump_dir`]; `isdlc explore --journal` points

@@ -440,10 +440,7 @@ fn dispatch(cmd: &str, flags: &[&str], pos: &[&String]) -> Result<(), String> {
             let p = Assembler::new(&m).assemble(&src).map_err(|e| e.to_string())?;
             let r = synthesize(&m, hgen_options()?).map_err(|e| e.to_string())?;
             let mut sim = r.simulator(netlist_sim()?).map_err(|e| e.to_string())?;
-            let imem = m.storage(m.imem.ok_or("machine has no instruction memory")?).name.clone();
-            for (a, w) in p.words.iter().enumerate() {
-                sim.poke_memory(&imem, a as u64, w.clone()).map_err(|e| e.to_string())?;
-            }
+            hgen::load_program(&m, &mut sim, &p).map_err(|e| e.to_string())?;
             sim.start_vcd(Box::new(std::io::stdout())).map_err(|e| e.to_string())?;
             sim.clock(cycles).map_err(|e| e.to_string())?;
             Ok(())

@@ -60,7 +60,6 @@
 //! schema, the CLI adds a `stop` key (the stop reason) and a
 //! `timing_us` object with per-phase wall times to the stats report.
 
-use bitv::BitVector;
 use gensim::{profile_json, stats_json, trace_json, CoreKind, Xsim, XsimOptions};
 use obs::{ChromeTrace, Json, Registry, StreamSink};
 use std::process::ExitCode;
@@ -351,20 +350,7 @@ fn netlist_cross_check(
     let hw = hgen::synthesize(machine, hgen::HgenOptions::default())
         .map_err(|e| format!("netlist check: synthesis failed: {e}"))?;
     let mut sim = hw.simulator(backend).map_err(|e| format!("netlist check: {e}"))?;
-    let imem = &machine.storage(machine.imem.ok_or("netlist check: machine has no imem")?).name;
-    let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        sim.poke_memory(imem, a as u64, word.trunc(w).zext(w))
-            .map_err(|e| format!("netlist check: {e}"))?;
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width))
-                .map_err(|e| format!("netlist check: {e}"))?;
-        }
-    }
+    hgen::load_program(machine, &mut sim, program).map_err(|e| format!("netlist check: {e}"))?;
     // The hardware stalls at most as many extra cycles as the ILS
     // charged; programs assembled from compiled kernels end in a
     // state-neutral self-loop.

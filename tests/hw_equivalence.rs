@@ -4,7 +4,6 @@
 //! executing the same program — "the synthesizable Verilog model is
 //! itself a simulator" (paper §4.2).
 
-use bitv::BitVector;
 use gensim::{StopReason, Xsim};
 use hgen::{synthesize, DecodeStyle, HgenOptions, ShareOptions};
 use isdl::Machine;
@@ -30,18 +29,7 @@ fn run_hardware(
 ) -> AnySim {
     let result = synthesize(machine, options).expect("synthesizes");
     let mut sim = result.simulator(backend).expect("elaborates");
-    let imem = machine.storage(machine.imem.expect("imem")).name.clone();
-    let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        sim.poke_memory(&imem, a as u64, word.trunc(w).zext(w)).expect("pokes");
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width)).expect("pokes");
-        }
-    }
+    hgen::load_program(machine, &mut sim, program).expect("loads");
     sim.clock(edges).expect("clocks");
     sim
 }
@@ -188,9 +176,7 @@ fn hardware_cycle_count_matches_ils_when_hazard_free() {
     let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
     for backend in [SimBackend::Event, SimBackend::Levelized] {
         let mut hw = result.simulator(backend).expect("elaborates");
-        for (a, word) in program.words.iter().enumerate() {
-            hw.poke_memory("IM", a as u64, word.clone()).expect("pokes");
-        }
+        hgen::load_program(&machine, &mut hw, &program).expect("loads");
         // Clock exactly the ILS cycle count: state must already agree
         // (cycle-accuracy, not just eventual equivalence).
         hw.clock(xsim.stats().cycles).expect("clocks");

@@ -134,6 +134,36 @@ fn wave_emits_vcd() {
     assert!(stdout.contains("#1"), "value changes recorded: {stdout}");
 }
 
+/// The last value a VCD records for the signal named `name`.
+fn last_vcd_value(vcd: &str, name: &str) -> Option<u64> {
+    let id = vcd.lines().find_map(|l| {
+        let f: Vec<&str> = l.split_whitespace().collect();
+        (f.len() == 6 && f[0] == "$var" && f[4] == name).then(|| f[3])
+    })?;
+    vcd.lines()
+        .rev()
+        .filter_map(|l| l.strip_prefix('b')?.split_once(' '))
+        .find(|&(_, sig)| sig == id)
+        .and_then(|(bits, _)| u64::from_str_radix(bits, 2).ok())
+}
+
+#[test]
+fn wave_loads_the_data_image() {
+    let test = "wave_loads_the_data_image";
+    let asm =
+        write_temp(test, "d.asm", "ldi 7\naddm ten\nsta 0\nhalt\n.data\n.org 20\nten: .word 10\n");
+    let machine = write_temp(test, "acc16.isdl", isdl::samples::ACC16);
+    let (m, a) = (machine.to_str().expect("utf8"), asm.to_str().expect("utf8"));
+
+    let (run, _, ok) = isdlc(&["run", m, a]);
+    assert!(ok);
+    assert!(run.contains("ACC = 16'h0011"), "{run}");
+    let (vcd, stderr, ok) = isdlc(&["wave", m, a, "12"]);
+    assert!(ok, "{stderr}");
+    // 7 + the `.data` word 10: the waveform agrees with `isdlc run`.
+    assert_eq!(last_vcd_value(&vcd, "ACC"), Some(0x11), "{vcd}");
+}
+
 #[test]
 fn hex_and_tb_produce_usable_artifacts() {
     let asm = write_temp("hex_and_tb_produce_usable_artifacts", "h.asm", "ldi 9\nhalt\n");

@@ -105,18 +105,7 @@ fn run_netlist(
 ) -> AnySim {
     let result = synthesize(machine, options).expect("synthesizes");
     let mut sim = result.simulator(backend).expect("elaborates");
-    let imem = machine.storage(machine.imem.expect("imem")).name.clone();
-    let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        sim.poke_memory(&imem, a as u64, word.trunc(w).zext(w)).expect("pokes");
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width)).expect("pokes");
-        }
-    }
+    hgen::load_program(machine, &mut sim, program).expect("loads");
     sim.clock(edges).expect("clocks");
     sim
 }
@@ -205,11 +194,7 @@ fn vcd_waveforms_are_byte_identical_between_backends() {
         let dump = |backend: SimBackend| {
             let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
             let mut sim = result.simulator(backend).expect("elaborates");
-            let imem = machine.storage(machine.imem.expect("imem")).name.clone();
-            let w = machine.word_width;
-            for (a, word) in program.words.iter().enumerate() {
-                sim.poke_memory(&imem, a as u64, word.trunc(w).zext(w)).expect("pokes");
-            }
+            hgen::load_program(&machine, &mut sim, &program).expect("loads");
             let sink = SharedSink::default();
             sim.start_vcd(Box::new(sink.clone())).expect("vcd starts");
             sim.clock(200).expect("clocks");

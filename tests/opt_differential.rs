@@ -277,19 +277,8 @@ fn check_hardware(machine: &Machine, asm: &str, options: HgenOptions) {
     assert_eq!(xsim.run(1_000_000), StopReason::Halted);
 
     let result = hgen::synthesize(machine, options).expect("synthesizes");
-    let mut hw = vlog::sim::NetlistSim::elaborate(&result.module).expect("elaborates");
-    let imem = machine.storage(machine.imem.expect("imem")).name.clone();
-    let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        hw.poke_memory(&imem, a as u64, word.trunc(w).zext(w)).expect("pokes");
-    }
-    if let Some(dm) =
-        machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory)
-    {
-        for &(addr, v) in &program.data {
-            hw.poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width)).expect("pokes");
-        }
-    }
+    let mut hw = result.simulator(vlog::SimBackend::Event).expect("elaborates");
+    hgen::load_program(machine, &mut hw, &program).expect("loads");
     hw.clock(4 * xsim.stats().cycles + 16).expect("clocks");
 
     for (i, s) in machine.storages.iter().enumerate() {
@@ -304,7 +293,7 @@ fn check_hardware(machine: &Machine, asm: &str, options: HgenOptions) {
             } else {
                 hw.peek(&s.name).expect("net")
             };
-            assert_eq!(soft, hard, "{}[{a}] differs at opt={}", s.name, options.opt);
+            assert_eq!(*soft, hard, "{}[{a}] differs at opt={}", s.name, options.opt);
         }
     }
 }

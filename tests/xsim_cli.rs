@@ -211,3 +211,25 @@ fn core_choice_does_not_change_the_stats() {
     assert_eq!(bytecode, tree, "tree and bytecode cores agree");
     assert_eq!(bytecode, no_offline, "decode strategy cannot change the counters");
 }
+
+/// `--netlist-sim` replays the halted program, `.data` image included,
+/// on the HGEN netlist and reports the backend it used.
+fn netlist_check_agrees(test: &str, backend: &str) {
+    let (machine, prog) = fixture_paths(test);
+    let (stdout, stderr, ok) = xsim(&[&machine, &prog, "--netlist-sim", backend, "--stats", "-"]);
+    assert!(ok, "stderr: {stderr}");
+    let json = Json::parse(&stdout).expect("stdout is pure JSON");
+    let netlist = json.get("netlist").expect("netlist block");
+    assert_eq!(netlist.get_str("backend"), Some(backend));
+    assert!(stderr.contains(&format!("netlist ({backend}) agrees after")), "stderr: {stderr}");
+}
+
+#[test]
+fn netlist_check_agrees_on_the_event_backend() {
+    netlist_check_agrees("netlist_check_agrees_on_the_event_backend", "event");
+}
+
+#[test]
+fn netlist_check_agrees_on_the_levelized_backend() {
+    netlist_check_agrees("netlist_check_agrees_on_the_levelized_backend", "levelized");
+}
