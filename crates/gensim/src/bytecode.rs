@@ -7,10 +7,11 @@
 //! walking, no `BitVector` allocation on the hot path.
 //!
 //! Operations whose RTL involves values wider than 64 bits fall back to
-//! the tree-walking core transparently; results are bit-identical by
-//! construction (and cross-checked in the test suite).
+//! the tree-walking executor ([`crate::exec`]) transparently. The
+//! differential tests check both lanes against the generated hardware,
+//! on a corpus that uses every construct this compiler lowers.
 
-use crate::exec::{self, Binding, Frame, OverlayView, StagedWrite};
+use crate::exec::{self, Binding, Frame, StagedWrite};
 use crate::state::State;
 use bitv::BitVector;
 use isdl::model::{Machine, OpRef};
@@ -20,11 +21,10 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Cache of compiled operation phases, plus the per-(operation, phase)
-/// optimized RTL both cores consume. Optimization is independent of
+/// optimized RTL they are compiled from. Optimization is independent of
 /// the non-terminal option path (parameters are opaque to the
 /// middle-end), so optimized statements are cached at (op, phase)
-/// granularity and shared by every option-path compilation and by the
-/// tree-walking core.
+/// granularity and shared by every option-path compilation.
 #[derive(Debug, Default)]
 pub(crate) struct Cache {
     map: HashMap<Key, Rc<Compiled>>,
@@ -154,7 +154,7 @@ impl Cache {
     /// Looks up (or computes) the optimized RTL for one phase of
     /// `op_ref`. Middle-end statistics accumulate into `stats` on the
     /// first (and only) optimization of each phase.
-    pub(crate) fn optimized(
+    fn optimized(
         &mut self,
         machine: &Machine,
         op_ref: OpRef,
@@ -204,17 +204,12 @@ impl Cache {
     }
 }
 
-/// Token leaf values of a binding tree, flattened for the prepared
-/// plans.
-pub(crate) fn flatten_params(bindings: &[Binding]) -> Vec<u64> {
-    flatten_tokens(bindings)
-}
-
-/// Executes a prepared phase. `regs` is caller-owned scratch reused
-/// across invocations (sized on demand). The tree-walking fallback for
-/// wide RTL runs the optimized statements carried by [`Compiled::Wide`]
-/// with `op`/`bindings` and can surface its [`ExecError`] diagnostics;
-/// the compiled path is infallible by construction.
+/// Executes a prepared phase against cycle-start `state`. `regs` is
+/// caller-owned scratch reused across invocations (sized on demand).
+/// The tree-walking fallback for wide RTL runs the optimized statements
+/// carried by [`Compiled::Wide`] with `op`/`bindings` and can surface
+/// its [`exec::ExecError`] diagnostics; the compiled path is infallible
+/// by construction.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_compiled(
     compiled: &Compiled,
@@ -223,26 +218,19 @@ pub(crate) fn exec_compiled(
     bindings: &[Binding],
     params: &[u64],
     state: &State,
-    overlay: &[StagedWrite],
     latency: u32,
     out: &mut Vec<StagedWrite>,
     regs: &mut Vec<u64>,
 ) -> Result<(), exec::ExecError> {
     match compiled {
         Compiled::Wide(stmts) => {
-            let frame = Frame { op, bindings };
-            if overlay.is_empty() {
-                exec::exec_stmts(machine, stmts, frame, state, latency, out)?;
-            } else {
-                let view = OverlayView::new(state, overlay);
-                exec::exec_stmts(machine, stmts, frame, &view, latency, out)?;
-            }
+            exec::exec_stmts(machine, stmts, Frame { op, bindings }, state, latency, out)
         }
         Compiled::Code(p) => {
-            run(p, params, state, overlay, latency, out, regs);
+            run(p, params, state, latency, out, regs);
+            Ok(())
         }
     }
-    Ok(())
 }
 
 /// Flattened non-terminal option choices (the compile key).
@@ -262,8 +250,9 @@ fn option_path(bindings: &[Binding]) -> Vec<usize> {
     out
 }
 
-/// Token leaf values in traversal order, as u64.
-fn flatten_tokens(bindings: &[Binding]) -> Vec<u64> {
+/// Token leaf values of a binding tree in traversal order, as u64 —
+/// the runtime parameters of a prepared plan.
+pub(crate) fn flatten_params(bindings: &[Binding]) -> Vec<u64> {
     let mut out = Vec::new();
     fn go(b: &Binding, out: &mut Vec<u64>) {
         match b {
@@ -502,7 +491,7 @@ impl Compiler<'_> {
             }
             RExprKind::Cond(c, t, f) => {
                 // Lower to control flow so only one arm evaluates
-                // (matching the tree core exactly).
+                // (matching the tree-walking executor exactly).
                 let cr = self.compile_expr(c, slots)?;
                 let dst = self.fresh();
                 let jz_at = self.code.len();
@@ -573,23 +562,10 @@ pub(crate) fn sext64(v: u64, w: u32) -> i64 {
     }
 }
 
-fn read_cell_u64(state: &State, overlay: &[StagedWrite], sid: StorageId, idx: u64) -> u64 {
-    let mut v = state.read_u64(sid, idx);
-    for w in overlay {
-        if w.storage == sid && w.index == idx {
-            let m = mask(w.hi - w.lo + 1);
-            let val = w.value.to_u64_lossy() & m;
-            v = (v & !(m << w.lo)) | (val << w.lo);
-        }
-    }
-    v
-}
-
 fn run(
     p: &Program,
     params: &[u64],
     state: &State,
-    overlay: &[StagedWrite],
     latency: u32,
     out: &mut Vec<StagedWrite>,
     regs: &mut Vec<u64>,
@@ -602,11 +578,11 @@ fn run(
             BOp::Const { dst, val } => regs[*dst as usize] = *val,
             BOp::ReadParam { dst, slot } => regs[*dst as usize] = params[*slot as usize],
             BOp::ReadSt { dst, sid } => {
-                regs[*dst as usize] = read_cell_u64(state, overlay, *sid, 0);
+                regs[*dst as usize] = state.read_u64(*sid, 0);
             }
             BOp::ReadIdx { dst, sid, idx, depth } => {
                 let i = regs[*idx as usize] % *depth;
-                regs[*dst as usize] = read_cell_u64(state, overlay, *sid, i);
+                regs[*dst as usize] = state.read_u64(*sid, i);
             }
             BOp::Bin { op, w, dst, a, b } => {
                 regs[*dst as usize] = bin_u64(*op, *w, regs[*a as usize], regs[*b as usize]);

@@ -19,7 +19,7 @@
 //! | `stats` | print cycle/instruction/stall counters |
 //! | `stats-json` | print the `xsim-stats/1` JSON report (see `docs/OBSERVABILITY.md`) |
 //! | `echo <text>` | print `text` (batch-file niceties) |
-//! | `reset` | reset state and statistics |
+//! | `reset` | reset state and statistics; the loaded program stays in instruction memory |
 
 use crate::sched::Xsim;
 use crate::state::Monitor;

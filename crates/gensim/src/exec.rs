@@ -1,10 +1,10 @@
-//! The processing core: executes operation RTL against simulator state.
+//! The tree-walking RTL executor: direct interpretation of the resolved
+//! RTL against simulator state.
 //!
-//! This is the tree-walking core — the direct interpretation of the
-//! resolved RTL. The bytecode core (`crate::bytecode`) compiles the
-//! same semantics into a flat program (the Rust analogue of GENSIM
-//! emitting C); both must agree bit-for-bit, which the test suite
-//! checks by running programs on each.
+//! XSIM's processing core is the bytecode compiler (`crate::bytecode`,
+//! the Rust analogue of GENSIM emitting C); it runs this executor only
+//! for RTL too wide for its u64 lanes. The differential tests check
+//! both lanes against the generated hardware.
 //!
 //! Execution of one operation produces a list of [`StagedWrite`]s; the
 //! scheduler merges the per-phase lists, implements the

@@ -18,9 +18,10 @@
 //!    ([`state::State`]);
 //! 5. **Disassembler** — the signature-matching decoder, run off-line
 //!    over the whole program at load time (`xasm::Disassembler`);
-//! 6. **Processing core** — the RTL executors: a tree-walking
-//!    interpreter ([`exec`]) and a compiled bytecode core
-//!    ([`CoreKind::Bytecode`], the analogue of the generated C).
+//! 6. **Processing core** — operation RTL compiled to bytecode (the
+//!    analogue of the generated C), with translated basic blocks on
+//!    top ([`XsimOptions::translate`]); RTL wider than 64 bits runs on
+//!    the tree-walking executor in [`exec`].
 //!
 //! Simulators are cycle-accurate (costs, latency-delayed write-back,
 //! statically derived stalls) and bit-true ([`bitv::BitVector`]
@@ -58,8 +59,8 @@ pub use report::{
     PROFILE_SCHEMA, STATS_SCHEMA, TRACE_SCHEMA,
 };
 pub use sched::{
-    CoreKind, EventTrace, GensimError, Profile, ProfileRow, StallCause, Stats, StopReason,
-    TraceEvent, TraceWrite, Xsim, XsimOptions,
+    EventTrace, GensimError, Profile, ProfileRow, StallCause, Stats, StopReason, TraceEvent,
+    TraceWrite, Xsim, XsimOptions,
 };
 pub use state::{Monitor, MonitorEvent, State};
 pub use translate::TranslateStats;

@@ -31,7 +31,7 @@
 //! caller's cycle budget.
 
 use crate::bytecode::{self, Compiled, Phase};
-use crate::exec::{binding_from_operand, exec_stmts, Binding, Frame, StagedWrite};
+use crate::exec::{binding_from_operand, Binding, StagedWrite};
 use crate::hazard;
 use crate::state::State;
 use crate::translate::{Block, BlockCache, BlockInstr, Fused, TranslateStats};
@@ -44,30 +44,13 @@ use std::io::Write;
 use std::rc::Rc;
 use xasm::{DecodedInstr, Disassembler, Program};
 
-/// Which processing core executes the RTL.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CoreKind {
-    /// Direct tree-walking interpretation of the resolved RTL.
-    Tree,
-    /// Compiled flat bytecode (the analogue of GENSIM's generated C) —
-    /// substantially faster; produced lazily per operation.
-    #[default]
-    Bytecode,
-}
-
 /// Options controlling simulator generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct XsimOptions {
-    /// Processing-core implementation.
-    pub core: CoreKind,
-    /// Disassemble the whole program off-line at load time (§3.3.2).
-    /// When false, each instruction is re-decoded at every fetch — the
-    /// ablation for the paper's "off-line to improve speed" claim.
-    pub offline_decode: bool,
-    /// RTL middle-end level ([`isdl::opt`]); both cores run operation
-    /// RTL through the shared optimizer before executing it. Results
-    /// are bit-identical at every level; `OptLevel::None` is the
-    /// differential baseline.
+    /// RTL middle-end level ([`isdl::opt`]); the bytecode compiler runs
+    /// operation RTL through the shared optimizer before lowering it.
+    /// Results are bit-identical at every level; `OptLevel::None` is
+    /// the differential baseline.
     pub opt: isdl::opt::OptLevel,
     /// Explicit middle-end pass schedule (`--opt-passes=fold,dead,...`)
     /// overriding the canonical schedule `opt` selects. `None` — the
@@ -77,21 +60,15 @@ pub struct XsimOptions {
     /// traces keyed by PC, fused once at translation time and
     /// dispatched directly (the specialized/translated simulation step
     /// past the paper's per-instruction compiled core). Only engages
-    /// for the bytecode core with off-line decode, no breakpoints, and
-    /// a PC wide enough to address all of instruction memory; results
-    /// are bit-identical to the interpreter.
+    /// with no breakpoints set and a PC wide enough to address all of
+    /// instruction memory; results are bit-identical to the
+    /// per-instruction bytecode interpreter it replaces.
     pub translate: bool,
 }
 
 impl Default for XsimOptions {
     fn default() -> Self {
-        Self {
-            core: CoreKind::Bytecode,
-            offline_decode: true,
-            opt: isdl::opt::OptLevel::default(),
-            passes: None,
-            translate: true,
-        }
+        Self { opt: isdl::opt::OptLevel::default(), passes: None, translate: true }
     }
 }
 
@@ -408,8 +385,7 @@ pub(crate) struct Plan {
 pub(crate) struct DecodedEntry {
     pub instr: DecodedInstr,
     pub bindings: Vec<Vec<Binding>>,
-    /// Bytecode-core plans, parallel to `instr.ops` (empty for the
-    /// tree core).
+    /// Compiled execution plans, parallel to `instr.ops`.
     pub(crate) plans: Vec<Plan>,
     pub cycle_cost: u32,
     pub stall: u32,
@@ -417,6 +393,17 @@ pub(crate) struct DecodedEntry {
     pub stall_cause: Option<StallCause>,
     /// Whether any selected operation is named `halt`.
     pub halts: bool,
+}
+
+impl DecodedEntry {
+    /// Every compiled phase with the index of its field slot, in the
+    /// order the instruction stages its writes: each slot's action,
+    /// then each slot's side effects.
+    pub(crate) fn phases(&self) -> impl Iterator<Item = (usize, &Compiled)> {
+        let actions = self.plans.iter().map(|p| Some(&*p.action));
+        let side_effects = self.plans.iter().map(|p| p.side_effects.as_deref());
+        actions.enumerate().chain(side_effects.enumerate()).filter_map(|(i, c)| Some((i, c?)))
+    }
 }
 
 /// A generated cycle-accurate, bit-true instruction-level simulator.
@@ -428,8 +415,8 @@ pub struct Xsim<'m> {
     machine: &'m Machine,
     disasm: Disassembler<'m>,
     options: XsimOptions,
-    /// The middle-end schedule both cores feed RTL through, resolved
-    /// once from the options at generation time.
+    /// The middle-end schedule the bytecode compiler feeds RTL through,
+    /// resolved once from the options at generation time.
     pipeline: isdl::opt::Pipeline,
     state: State,
     pc_id: StorageId,
@@ -444,16 +431,16 @@ pub struct Xsim<'m> {
     /// Instructions retired through fused block dispatch (the rest
     /// went through the interpreter).
     block_instructions: u64,
-    /// Reused scratch buffers for the hot execute loop.
+    /// Reused scratch buffers for the hot execute loop: bytecode
+    /// registers, and one instruction's staged writes.
     scratch_regs: Vec<u64>,
-    action_buf: Vec<StagedWrite>,
-    se_buf: Vec<StagedWrite>,
+    write_buf: Vec<StagedWrite>,
     /// Flat per-(field, op) execution counters; folded into
     /// `stats.op_counts` lazily by [`Xsim::stats`].
     op_counts: Vec<Vec<u64>>,
     stats: Stats,
     /// Middle-end counters accumulated over every phase optimized for
-    /// this simulator (shared by both cores via the bytecode cache).
+    /// this simulator.
     opt_stats: isdl::opt::OptStats,
     /// Prepared plans whose RTL exceeded the u64 bytecode lanes and
     /// fell back to tree interpretation.
@@ -521,8 +508,7 @@ impl<'m> Xsim<'m> {
             imem_dirty: Vec::new(),
             block_instructions: 0,
             scratch_regs: Vec::new(),
-            action_buf: Vec::new(),
-            se_buf: Vec::new(),
+            write_buf: Vec::new(),
             op_counts: machine.fields.iter().map(|f| vec![0; f.ops.len()]).collect(),
             stats: Stats { field_busy: vec![0; machine.fields.len()], ..Stats::default() },
             opt_stats: isdl::opt::OptStats::default(),
@@ -621,17 +607,12 @@ impl<'m> Xsim<'m> {
     }
 
     /// Whether [`Xsim::run_fuel`] will dispatch through translated
-    /// blocks. Translation needs the bytecode core (fusion consumes
-    /// bytecode plans), off-line decode (shared static stalls), no
-    /// breakpoints (blocks retire several instructions per dispatch),
-    /// and a PC that can address every imem word (a truncating PC
-    /// falls back to the interpreter's per-step wrap semantics).
+    /// blocks. Translation needs no breakpoints (blocks retire several
+    /// instructions per dispatch) and a PC that can address every imem
+    /// word (a truncating PC falls back to the interpreter's per-step
+    /// wrap semantics).
     fn translation_active(&self) -> bool {
-        if !(self.options.translate
-            && self.options.core == CoreKind::Bytecode
-            && self.options.offline_decode
-            && self.breakpoints.is_empty())
-        {
+        if !self.options.translate || !self.breakpoints.is_empty() {
             return false;
         }
         let pc_w = self.machine.storage(self.pc_id).width;
@@ -789,9 +770,7 @@ impl<'m> Xsim<'m> {
         }
         self.decoded = vec![None; depth as usize];
         self.blocks.clear();
-        if self.options.offline_decode {
-            self.offline_decode_pass(words.len() as u64);
-        }
+        self.decode_program(words.len() as u64);
         self.set_pc(0);
         self.halted = false;
     }
@@ -803,7 +782,7 @@ impl<'m> Xsim<'m> {
     /// Entries are built unshared, annotated with their stall and its
     /// cause, and only then wrapped in `Rc` — there is no aliased
     /// mutation and no panicking `Rc::get_mut` path.
-    fn offline_decode_pass(&mut self, len: u64) {
+    fn decode_program(&mut self, len: u64) {
         let mut plain: Vec<Option<DecodedEntry>> = Vec::with_capacity(self.decoded.len());
         plain.resize_with(self.decoded.len(), || None);
         let mut addr = 0u64;
@@ -849,57 +828,45 @@ impl<'m> Xsim<'m> {
         self.disasm.decode(&words, addr).ok()
     }
 
-    /// Decodes the instruction at `addr` and prepares its execution
-    /// plans.
-    fn decode_at(&mut self, addr: u64) -> Option<Rc<DecodedEntry>> {
-        let instr = self.decode_instr(addr)?;
-        Some(Rc::new(self.build_entry(instr)))
-    }
-
     fn build_entry(&mut self, instr: DecodedInstr) -> DecodedEntry {
         let bindings: Vec<Vec<Binding>> =
             instr.ops.iter().map(|d| d.args.iter().map(binding_from_operand).collect()).collect();
         let cycle_cost =
             instr.ops.iter().map(|d| self.machine.op(d.op).costs.cycle).max().unwrap_or(1);
         let halts = instr.ops.iter().any(|d| self.machine.op(d.op).name == "halt");
-        let plans = if self.options.core == CoreKind::Bytecode {
-            let mut plans = Vec::with_capacity(instr.ops.len());
-            for (d, b) in instr.ops.iter().zip(&bindings) {
-                let op = self.machine.op(d.op);
-                let action = self.bytecode.prepare(
+        let mut plans = Vec::with_capacity(instr.ops.len());
+        for (d, b) in instr.ops.iter().zip(&bindings) {
+            let op = self.machine.op(d.op);
+            let action = self.bytecode.prepare(
+                self.machine,
+                d.op,
+                Phase::Action,
+                b,
+                &self.pipeline,
+                &mut self.opt_stats,
+            );
+            let side_effects = if op.side_effects.is_empty() {
+                None
+            } else {
+                Some(self.bytecode.prepare(
                     self.machine,
                     d.op,
-                    Phase::Action,
+                    Phase::SideEffects,
                     b,
                     &self.pipeline,
                     &mut self.opt_stats,
-                );
-                let side_effects = if op.side_effects.is_empty() {
-                    None
-                } else {
-                    Some(self.bytecode.prepare(
-                        self.machine,
-                        d.op,
-                        Phase::SideEffects,
-                        b,
-                        &self.pipeline,
-                        &mut self.opt_stats,
-                    ))
-                };
-                self.wide_fallbacks += u64::from(matches!(*action, bytecode::Compiled::Wide(_)));
-                self.wide_fallbacks +=
-                    u64::from(matches!(side_effects.as_deref(), Some(bytecode::Compiled::Wide(_))));
-                plans.push(Plan {
-                    action,
-                    side_effects,
-                    params: bytecode::flatten_params(b),
-                    latency: op.timing.latency,
-                });
-            }
-            plans
-        } else {
-            Vec::new()
-        };
+                ))
+            };
+            self.wide_fallbacks += u64::from(matches!(*action, Compiled::Wide(_)));
+            self.wide_fallbacks +=
+                u64::from(matches!(side_effects.as_deref(), Some(Compiled::Wide(_))));
+            plans.push(Plan {
+                action,
+                side_effects,
+                params: bytecode::flatten_params(b),
+                latency: op.timing.latency,
+            });
+        }
         DecodedEntry { instr, bindings, plans, cycle_cost, stall: 0, stall_cause: None, halts }
     }
 
@@ -974,22 +941,17 @@ impl<'m> Xsim<'m> {
         self.imem_dirty = dirty;
     }
 
-    /// Fetch/decode at `pc` (off-line cache, or per-fetch decode).
+    /// The decoded entry at `pc`: the off-line pass's, or — on a miss
+    /// (an address the sequential pass skipped, or one a code store
+    /// invalidated) — decoded now and cached.
     fn fetch_entry(&mut self, pc: u64) -> Result<Rc<DecodedEntry>, StopReason> {
-        if self.options.offline_decode {
-            if let Some(e) = &self.decoded[pc as usize] {
-                return Ok(Rc::clone(e));
-            }
-            match self.decode_at(pc) {
-                Some(e) => {
-                    self.decoded[pc as usize] = Some(Rc::clone(&e));
-                    Ok(e)
-                }
-                None => Err(StopReason::IllegalInstruction(pc)),
-            }
-        } else {
-            self.decode_at(pc).ok_or(StopReason::IllegalInstruction(pc))
+        if let Some(e) = &self.decoded[pc as usize] {
+            return Ok(Rc::clone(e));
         }
+        let instr = self.decode_instr(pc).ok_or(StopReason::IllegalInstruction(pc))?;
+        let e = Rc::new(self.build_entry(instr));
+        self.decoded[pc as usize] = Some(Rc::clone(&e));
+        Ok(e)
     }
 
     /// Executes one instruction. Returns a stop reason if execution
@@ -1017,142 +979,67 @@ impl<'m> Xsim<'m> {
     }
 
     /// Executes one fetched instruction through the interpreter: stall
-    /// charge, due-write commit, both RTL phases, write staging,
-    /// tracing, and retirement.
+    /// charge, due-write commit, both RTL phases, then
+    /// [`Xsim::retire`].
     fn exec_entry(&mut self, pc: u64, entry: &Rc<DecodedEntry>) -> Option<StopReason> {
-        // 1. Charge static stalls.
-        self.stats.cycles += u64::from(entry.stall);
-        self.stats.stall_cycles += u64::from(entry.stall);
-        let t = self.stats.cycles;
-
-        // 2. Commit writes whose latency has expired.
-        self.commit_and_invalidate(t);
+        let t = self.stall_and_commit(entry);
 
         // 3-5. Execute both phases and stage writes. An ExecError in
         // either phase discards the instruction's writes and surfaces
         // as a stop reason — nothing half-commits.
-        let mut fault: Option<crate::exec::ExecError> = None;
-        let mut action_writes = std::mem::take(&mut self.action_buf);
-        action_writes.clear();
-        match self.options.core {
-            CoreKind::Bytecode => {
-                for (i, plan) in entry.plans.iter().enumerate() {
-                    let d = &entry.instr.ops[i];
-                    if let Err(e) = bytecode::exec_compiled(
-                        &plan.action,
-                        self.machine,
-                        self.machine.op(d.op),
-                        &entry.bindings[i],
-                        &plan.params,
-                        &self.state,
-                        &[],
-                        plan.latency,
-                        &mut action_writes,
-                        &mut self.scratch_regs,
-                    ) {
-                        fault = Some(e);
-                        break;
-                    }
+        let mut writes = std::mem::take(&mut self.write_buf);
+        writes.clear();
+        for (i, compiled) in entry.phases() {
+            let plan = &entry.plans[i];
+            if let Err(e) = bytecode::exec_compiled(
+                compiled,
+                self.machine,
+                self.machine.op(entry.instr.ops[i].op),
+                &entry.bindings[i],
+                &plan.params,
+                &self.state,
+                plan.latency,
+                &mut writes,
+                &mut self.scratch_regs,
+            ) {
+                self.write_buf = writes;
+                // The stall was already charged to Stats above; mirror
+                // it so per-PC sums stay exact even on the fault path.
+                if let Some(p) = &mut self.profile {
+                    p.record_stall_only(pc, entry.stall);
                 }
-            }
-            CoreKind::Tree => {
-                for (d, b) in entry.instr.ops.iter().zip(&entry.bindings) {
-                    let op = self.machine.op(d.op);
-                    // The tree core shares the bytecode cache's
-                    // optimized-RTL table: same (op, phase) entry, same
-                    // middle-end stats, no double optimization.
-                    let stmts = self.bytecode.optimized(
-                        self.machine,
-                        d.op,
-                        Phase::Action,
-                        &self.pipeline,
-                        &mut self.opt_stats,
-                    );
-                    let frame = Frame { op, bindings: b };
-                    if let Err(e) = exec_stmts(
-                        self.machine,
-                        &stmts,
-                        frame,
-                        &self.state,
-                        op.timing.latency,
-                        &mut action_writes,
-                    ) {
-                        fault = Some(e);
-                        break;
-                    }
-                }
+                return Some(StopReason::ExecFault { addr: pc, message: e.to_string() });
             }
         }
-        let mut se_writes = std::mem::take(&mut self.se_buf);
-        se_writes.clear();
-        if fault.is_none() {
-            match self.options.core {
-                CoreKind::Bytecode => {
-                    for (i, plan) in entry.plans.iter().enumerate() {
-                        let Some(side) = &plan.side_effects else { continue };
-                        let d = &entry.instr.ops[i];
-                        if let Err(e) = bytecode::exec_compiled(
-                            side,
-                            self.machine,
-                            self.machine.op(d.op),
-                            &entry.bindings[i],
-                            &plan.params,
-                            &self.state,
-                            &[],
-                            plan.latency,
-                            &mut se_writes,
-                            &mut self.scratch_regs,
-                        ) {
-                            fault = Some(e);
-                            break;
-                        }
-                    }
-                }
-                CoreKind::Tree => {
-                    for (d, b) in entry.instr.ops.iter().zip(&entry.bindings) {
-                        let op = self.machine.op(d.op);
-                        if op.side_effects.is_empty() {
-                            continue;
-                        }
-                        let stmts = self.bytecode.optimized(
-                            self.machine,
-                            d.op,
-                            Phase::SideEffects,
-                            &self.pipeline,
-                            &mut self.opt_stats,
-                        );
-                        let frame = Frame { op, bindings: b };
-                        if let Err(e) = exec_stmts(
-                            self.machine,
-                            &stmts,
-                            frame,
-                            &self.state,
-                            op.timing.latency,
-                            &mut se_writes,
-                        ) {
-                            fault = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(e) = fault {
-            action_writes.clear();
-            se_writes.clear();
-            self.action_buf = action_writes;
-            self.se_buf = se_writes;
-            // The stall was already charged to Stats above; mirror it
-            // so per-PC sums stay exact even on the fault path.
-            if let Some(p) = &mut self.profile {
-                p.record_stall_only(pc, entry.stall);
-            }
-            return Some(StopReason::ExecFault { addr: pc, message: e.to_string() });
-        }
+        self.retire(pc, entry, t, writes)
+    }
+
+    /// Steps 1-2 of the cycle model, shared by both dispatch tiers:
+    /// charges the instruction's static stall and commits the writes
+    /// due by then. Returns the cycle the instruction executes in.
+    fn stall_and_commit(&mut self, entry: &DecodedEntry) -> u64 {
+        self.stats.cycles += u64::from(entry.stall);
+        self.stats.stall_cycles += u64::from(entry.stall);
+        let t = self.stats.cycles;
+        self.commit_and_invalidate(t);
+        t
+    }
+
+    /// The shared tail of both dispatch tiers: stages the
+    /// instruction's `writes` (executed at cycle `t`), records its trace
+    /// event, does the bookkeeping, advances time, and updates the PC.
+    /// `writes` goes back into the reused buffer.
+    fn retire(
+        &mut self,
+        pc: u64,
+        entry: &DecodedEntry,
+        t: u64,
+        mut writes: Vec<StagedWrite>,
+    ) -> Option<StopReason> {
         let mut pc_written = false;
-        let mut traced_writes = Vec::new();
         let tracing = self.events.is_some() || self.event_sink.is_some();
-        for w in action_writes.drain(..).chain(se_writes.drain(..)) {
+        let mut traced_writes = Vec::new();
+        for w in writes.drain(..) {
             if w.storage == self.pc_id {
                 pc_written = true;
             }
@@ -1172,8 +1059,7 @@ impl<'m> Xsim<'m> {
                 t + u64::from(w.latency),
             );
         }
-        self.action_buf = action_writes;
-        self.se_buf = se_writes;
+        self.write_buf = writes;
         if tracing {
             let event = TraceEvent {
                 cycle: t,
@@ -1189,17 +1075,6 @@ impl<'m> Xsim<'m> {
             }
         }
 
-        self.retire_entry(pc, entry, pc_written)
-    }
-
-    /// The shared retirement tail of both dispatch tiers: bookkeeping,
-    /// profile/trace recording, time advance, and PC update.
-    fn retire_entry(
-        &mut self,
-        pc: u64,
-        entry: &DecodedEntry,
-        pc_written: bool,
-    ) -> Option<StopReason> {
         // Bookkeeping (flat counters; folded into Stats lazily).
         for (fi, d) in entry.instr.ops.iter().enumerate() {
             self.op_counts[fi][d.op.op] += 1;
@@ -1362,63 +1237,20 @@ impl<'m> Xsim<'m> {
 
     /// The fused fast path of [`Xsim::exec_entry`]: one flat μ-op
     /// trace replaces plan iteration, parameter reads, and per-write
-    /// latency resolution. Staging order, trace records, and
-    /// retirement are identical to the interpreter.
+    /// latency resolution. Stall charging and retirement are the
+    /// interpreter's.
     fn exec_fused(
         &mut self,
         pc: u64,
         entry: &Rc<DecodedEntry>,
         fused: &Fused,
     ) -> Option<StopReason> {
-        self.stats.cycles += u64::from(entry.stall);
-        self.stats.stall_cycles += u64::from(entry.stall);
-        let t = self.stats.cycles;
-        self.commit_and_invalidate(t);
-
-        let mut writes = std::mem::take(&mut self.action_buf);
+        let t = self.stall_and_commit(entry);
+        let mut writes = std::mem::take(&mut self.write_buf);
         writes.clear();
         crate::translate::run_fused(fused, &self.state, &mut writes, &mut self.scratch_regs);
-
-        let mut pc_written = false;
-        let tracing = self.events.is_some() || self.event_sink.is_some();
-        let mut traced_writes = Vec::new();
-        for w in writes.drain(..) {
-            if w.storage == self.pc_id {
-                pc_written = true;
-            }
-            if tracing {
-                traced_writes.push(TraceWrite {
-                    storage: w.storage,
-                    index: w.index,
-                    value: w.value.clone(),
-                });
-            }
-            self.state.stage_write(
-                w.storage,
-                w.index,
-                w.hi,
-                w.lo,
-                w.value,
-                t + u64::from(w.latency),
-            );
-        }
-        self.action_buf = writes;
-        if tracing {
-            let event = TraceEvent {
-                cycle: t,
-                pc,
-                ops: entry.instr.ops.iter().map(|d| d.op).collect(),
-                writes: traced_writes,
-            };
-            if let Some(sink) = &mut self.event_sink {
-                sink.record(crate::report::event_json(self.machine, &event));
-            }
-            if let Some(events) = &mut self.events {
-                events.push(event);
-            }
-        }
         self.block_instructions += 1;
-        self.retire_entry(pc, entry, pc_written)
+        self.retire(pc, entry, t, writes)
     }
 
     /// Clears the halted flag and jumps to `pc`, keeping the decoded
@@ -1431,13 +1263,18 @@ impl<'m> Xsim<'m> {
     }
 
     /// Resets state, statistics, and the halted flag; keeps the loaded
-    /// program, breakpoints, and monitors. The program must be
-    /// reloaded via [`Self::load_program`] to restore instruction
-    /// memory contents if the run modified them.
+    /// program (instruction memory as the last run left it, and its
+    /// decode cache), breakpoints, and monitors.
     pub fn reset(&mut self) {
+        let program: Vec<BitVector> = (0..self.state.depth(self.imem_id))
+            .map(|a| self.state.read(self.imem_id, a).clone())
+            .collect();
         self.state.reset();
-        // Reset wipes instruction memory, so translated blocks are
-        // stale; counters restart with the stats they feed.
+        for (a, word) in program.into_iter().enumerate() {
+            self.state.poke(self.imem_id, a as u64, word);
+        }
+        // Blocks re-translate from the kept decode cache; translation
+        // counters restart with the stats they feed.
         self.blocks = BlockCache::default();
         self.block_instructions = 0;
         self.stats = Stats { field_busy: vec![0; self.machine.fields.len()], ..Stats::default() };
@@ -1512,33 +1349,6 @@ one:   .word 1
         assert_eq!(dump[1], 0, "counter exhausted");
         assert!(stats.instructions > 50);
         assert_eq!(stats.cycles, stats.instructions, "acc16 has no stalls");
-    }
-
-    #[test]
-    fn tree_and_bytecode_cores_agree() {
-        let opts_tree = XsimOptions { core: CoreKind::Tree, ..XsimOptions::default() };
-        let opts_byte = XsimOptions { core: CoreKind::Bytecode, ..XsimOptions::default() };
-        let (_, s1, d1) = run_acc16(SUM_LOOP, opts_tree);
-        let (_, s2, d2) = run_acc16(SUM_LOOP, opts_byte);
-        assert_eq!(d1, d2, "state must be bit-identical");
-        assert_eq!(s1.cycles, s2.cycles);
-        assert_eq!(s1.instructions, s2.instructions);
-    }
-
-    #[test]
-    fn online_decode_matches_offline() {
-        let off = XsimOptions { core: CoreKind::Bytecode, ..XsimOptions::default() };
-        let on = XsimOptions {
-            core: CoreKind::Bytecode,
-            offline_decode: false,
-            ..XsimOptions::default()
-        };
-        let (_, s1, d1) = run_acc16(SUM_LOOP, off);
-        let (_, s2, d2) = run_acc16(SUM_LOOP, on);
-        assert_eq!(d1, d2);
-        // Off-line decode also feeds the static stall pass; acc16 ops all
-        // have latency 1 so cycle counts agree either way.
-        assert_eq!(s1.cycles, s2.cycles);
     }
 
     #[test]
@@ -1628,15 +1438,15 @@ E: jmp E
         .expect("loads");
         let p =
             Assembler::new(&m).assemble("seta\nst reg(R2)\nst mem(R0)\nhalt\n").expect("assembles");
-        for core in [CoreKind::Tree, CoreKind::Bytecode] {
-            let mut sim = Xsim::generate_with(&m, XsimOptions { core, ..XsimOptions::default() })
-                .expect("generates");
+        for translate in [false, true] {
+            let options = XsimOptions { translate, ..XsimOptions::default() };
+            let mut sim = Xsim::generate_with(&m, options).expect("generates");
             sim.load_program(&p);
             assert_eq!(sim.run(100), StopReason::Halted);
             let rf = m.storage_by_name("RF").expect("RF").0;
             let dm = m.storage_by_name("DM").expect("DM").0;
-            assert_eq!(sim.state().read_u64(rf, 2), 99, "core {core:?}");
-            assert_eq!(sim.state().read_u64(dm, 0), 99, "core {core:?}");
+            assert_eq!(sim.state().read_u64(rf, 2), 99, "translate={translate}");
+            assert_eq!(sim.state().read_u64(dm, 0), 99, "translate={translate}");
         }
     }
 
@@ -1752,11 +1562,16 @@ E: jmp E
         assert_eq!(sim.run(100), StopReason::Halted);
         sim.reset();
         assert_eq!(sim.stats().cycles, 0);
-        // Instruction memory was cleared by reset; reload to run again.
-        sim.load_program(&p);
-        assert_eq!(sim.run(100), StopReason::Halted);
         let acc = m.storage_by_name("ACC").expect("ACC").0;
+        assert_eq!(sim.state().read_u64(acc, 0), 0, "reset clears data state");
+        // Instruction memory, the decode cache and the disassembler
+        // still describe the loaded program, and it runs again.
+        let im = m.imem.expect("IM");
+        assert_eq!(sim.state().read(im, 0), &p.words[0], "IM[0] keeps `ldi 5`");
+        assert_eq!(sim.disassemble_at(0).as_deref(), Some("ldi 5"));
+        assert_eq!(sim.run(100), StopReason::Halted);
         assert_eq!(sim.state().read_u64(acc, 0), 5);
+        assert_eq!(sim.stats().cycles, 2);
     }
 
     #[test]

@@ -222,8 +222,7 @@ impl BlockCache {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TranslateStats {
     /// Whether the translated tier is engaged for the current options
-    /// (bytecode core, off-line decode, no breakpoints, addressable
-    /// PC).
+    /// (translation on, no breakpoints, addressable PC).
     pub enabled: bool,
     /// Basic blocks translated (including re-translations after
     /// invalidation).
@@ -247,25 +246,17 @@ pub struct TranslateStats {
 /// interpreter fallback) if any plan is wide RTL or the combined
 /// register file would overflow the `u16` register space.
 pub(crate) fn fuse_entry(entry: &DecodedEntry, removed: &mut u64) -> Option<Fused> {
-    let mut phases: Vec<(&Compiled, &[u64], u32)> = Vec::new();
-    for plan in &entry.plans {
-        phases.push((plan.action.as_ref(), &plan.params, plan.latency));
-    }
-    for plan in &entry.plans {
-        if let Some(se) = plan.side_effects.as_deref() {
-            phases.push((se, &plan.params, plan.latency));
-        }
-    }
     let mut code: Vec<TOp> = Vec::new();
     let mut n_regs: u32 = 0;
-    for (compiled, params, latency) in phases {
+    for (i, compiled) in entry.phases() {
         let Compiled::Code(p) = compiled else { return None };
         if n_regs + p.n_regs as u32 > u32::from(Reg::MAX) + 1 {
             return None;
         }
+        let plan = &entry.plans[i];
         let code_base = code.len();
         for op in &p.code {
-            code.push(lower(op, params, latency, n_regs, code_base));
+            code.push(lower(op, &plan.params, plan.latency, n_regs, code_base));
         }
         n_regs += p.n_regs as u32;
     }

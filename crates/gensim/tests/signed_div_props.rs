@@ -6,12 +6,12 @@
 //! so e.g. an 8-bit `0x80 /s 0xFF` (−128 / −1) divided the *unsigned*
 //! values. This suite pins the fix: for random widths 1..=64 and
 //! random operands — always augmented with the MIN/−1 overflow pair
-//! and division by zero — the tree core, the bytecode core, and the
-//! translated basic-block tier must all match the shared
+//! and division by zero — the bytecode interpreter and the translated
+//! basic-block tier must both match the shared
 //! [`gensim::exec::eval_binop`] reference bit-for-bit.
 
 use bitv::BitVector;
-use gensim::{CoreKind, StopReason, Xsim, XsimOptions};
+use gensim::{StopReason, Xsim, XsimOptions};
 use isdl::rtl::BinOp;
 use proptest::prelude::*;
 use xasm::Assembler;
@@ -72,12 +72,8 @@ proptest! {
             let bv = BitVector::from_u64(b, w);
             let want_q = gensim::exec::eval_binop(BinOp::SDiv, &av, &bv);
             let want_r = gensim::exec::eval_binop(BinOp::SRem, &av, &bv);
-            for (core, translate) in [
-                (CoreKind::Tree, false),
-                (CoreKind::Bytecode, false),
-                (CoreKind::Bytecode, true),
-            ] {
-                let options = XsimOptions { core, translate, ..XsimOptions::default() };
+            for translate in [false, true] {
+                let options = XsimOptions { translate, ..XsimOptions::default() };
                 let mut sim = Xsim::generate_with(&machine, options).expect("generates");
                 sim.load_program(&program);
                 sim.state_mut().poke(a_id, 0, av.clone());
@@ -86,14 +82,14 @@ proptest! {
                 prop_assert_eq!(
                     sim.state().read(q_id, 0),
                     &want_q,
-                    "quotient w={} a={:#x} b={:#x} core={:?} translate={}",
-                    w, a, b, core, translate
+                    "quotient w={} a={:#x} b={:#x} translate={}",
+                    w, a, b, translate
                 );
                 prop_assert_eq!(
                     sim.state().read(r_id, 0),
                     &want_r,
-                    "remainder w={} a={:#x} b={:#x} core={:?} translate={}",
-                    w, a, b, core, translate
+                    "remainder w={} a={:#x} b={:#x} translate={}",
+                    w, a, b, translate
                 );
             }
         }

@@ -34,7 +34,7 @@ if [[ "${1:-}" == "--slow" ]]; then
     # required-features gating means a plain `cargo test` never sees
     # these targets; enable them per package (a workspace-wide
     # `--features` flag does not reach member crates).
-    for p in bitv gensim xasm vlog isdl-suite; do
+    for p in bitv xasm vlog isdl-suite; do
         run cargo test -q -p "$p" --features slow-props
     done
     # perfbench is a workspace of its own, so nothing above builds it.

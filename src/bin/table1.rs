@@ -4,17 +4,17 @@
 //! same FIR program on SPAM.
 //!
 //! It then prints the XSIM configuration table behind EXPERIMENTS.md's
-//! Ablations C (off-line decode), D (compiled core) and F (RTL
-//! middle-end levels): the speed of each configuration on the SPAM FIR
-//! and on dense TOY and WIDEMUL programs. Each row changes one option
-//! against the interpreted baseline or the default translated tier.
+//! Ablations D (translated tier) and F (RTL middle-end levels): the
+//! speed of each configuration on the SPAM FIR and on dense TOY and
+//! WIDEMUL programs. Each row changes one option against the default
+//! translated tier.
 //!
 //! ```sh
 //! cargo run --release --bin table1
 //! ```
 
 use bench::{cycles_per_second, fir_program, run_cycles, spam_machine};
-use gensim::{CoreKind, Xsim, XsimOptions};
+use gensim::{Xsim, XsimOptions};
 use isdl::opt::OptLevel;
 use isdl::Machine;
 use std::time::{Duration, Instant};
@@ -81,20 +81,16 @@ fn sample(sim: &mut Xsim<'_>, program: &Program) -> f64 {
     cycles_per_second(done, t0.elapsed())
 }
 
-/// The XSIM configurations of Ablations C, D and F. The interpreted rows
-/// pin `translate: false`, because translation engages only for the
-/// bytecode core with off-line decode: left on, it would run the
-/// baseline translated and the rows compared against it interpreted.
-fn configurations() -> [(&'static str, XsimOptions); 7] {
+/// The XSIM configurations of Ablations D and F: the interpreted
+/// bytecode core, and the translated tier at every middle-end level.
+fn configurations() -> [(&'static str, XsimOptions); 5] {
     let interpreted = XsimOptions { translate: false, ..XsimOptions::default() };
     let translated = |opt| XsimOptions { opt, ..XsimOptions::default() };
     [
-        ("interpreted: bytecode core, off-line decode (C, D)", interpreted),
-        ("interpreted: per-fetch decode (C)", XsimOptions { offline_decode: false, ..interpreted }),
-        ("interpreted: tree-walking core (D)", XsimOptions { core: CoreKind::Tree, ..interpreted }),
+        ("interpreted: bytecode core (D)", interpreted),
         ("translated: opt0 (F)", translated(OptLevel::None)),
         ("translated: opt1 (F)", translated(OptLevel::Basic)),
-        ("translated: opt2, the default (F)", translated(OptLevel::Aggressive)),
+        ("translated: opt2, the default (D, F)", translated(OptLevel::Aggressive)),
         ("translated: opt3 (F)", translated(OptLevel::Full)),
     ]
 }

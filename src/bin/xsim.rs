@@ -2,7 +2,10 @@
 //!
 //! Loads an ISDL machine description, generates its XSIM simulator,
 //! assembles and runs a program, and emits the versioned JSON reports
-//! documented in `docs/OBSERVABILITY.md`:
+//! documented in `docs/OBSERVABILITY.md`. The simulator decodes the
+//! program once, off-line, at load (§3.3.2) and executes compiled
+//! bytecode, dispatched through translated basic blocks unless
+//! `--no-translate` asks for one instruction at a time:
 //!
 //! ```text
 //! xsim <machine.isdl> <prog.asm> [options]
@@ -23,8 +26,6 @@
 //!   --chrome-trace <path|->  write the CLI phase timings
 //!                         (load/assemble/generate/run) as a Chrome
 //!                         trace-event document
-//!   --core tree|bytecode  processing-core implementation (default bytecode)
-//!   --no-offline-decode   re-decode at every fetch (§3.3.2 ablation)
 //!   --opt 0|1|2|3         RTL middle-end level (default 2 = aggressive;
 //!                         3 = full: adds propagation, strength
 //!                         reduction, load forwarding, decode sharing);
@@ -60,7 +61,7 @@
 //! schema, the CLI adds a `stop` key (the stop reason) and a
 //! `timing_us` object with per-phase wall times to the stats report.
 
-use gensim::{profile_json, stats_json, trace_json, CoreKind, Xsim, XsimOptions};
+use gensim::{profile_json, stats_json, trace_json, Xsim, XsimOptions};
 use obs::{ChromeTrace, Json, Registry, StreamSink};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -118,13 +119,6 @@ fn run(args: &[String]) -> Result<(), String> {
                 let v = value(&mut it, "--trace-capacity")?;
                 trace_capacity = v.parse().map_err(|_| format!("bad capacity `{v}`"))?;
             }
-            "--core" => {
-                options.core = match value(&mut it, "--core")? {
-                    "tree" => CoreKind::Tree,
-                    "bytecode" => CoreKind::Bytecode,
-                    other => return Err(format!("unknown core `{other}` (tree|bytecode)")),
-                };
-            }
             "--netlist-sim" => {
                 let v = value(&mut it, "--netlist-sim")?;
                 netlist_check =
@@ -132,7 +126,6 @@ fn run(args: &[String]) -> Result<(), String> {
                         format!("unknown netlist backend `{v}` (event|levelized)")
                     })?);
             }
-            "--no-offline-decode" => options.offline_decode = false,
             "--translate" => options.translate = true,
             "--no-translate" => options.translate = false,
             "--opt" => {
@@ -396,7 +389,7 @@ fn usage() -> String {
     "usage: xsim <machine.isdl> <prog.asm> [--cycles N] [--fuel N] [--deadline-ms N] \
      [--stats <path|->] \
      [--trace <path|->] [--trace-capacity N] [--trace-stream <path|->] [--profile <path|->] \
-     [--chrome-trace <path|->] [--core tree|bytecode] [--no-offline-decode] [--opt 0|1|2|3] \
+     [--chrome-trace <path|->] [--opt 0|1|2|3] \
      [--opt-passes fold,prop,...] [--dump-rtl before|after|both] \
      [--translate|--no-translate] [--netlist-sim event|levelized] \
      [--log[=LEVEL[,TARGET=LEVEL...]]] [--log-out <path|->]"

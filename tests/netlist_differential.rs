@@ -1,90 +1,24 @@
 //! Three-way differential over the netlist simulation tiers: for every
-//! sample machine, a halting program, and every middle-end opt level,
-//! the ILS (XSIM), the event-driven netlist simulator, and the compiled
+//! program of the shared corpus and every middle-end opt level, the ILS
+//! (XSIM), the event-driven netlist simulator, and the compiled
 //! levelized netlist simulator must agree bit-for-bit on final
 //! architectural state. This is the standing gate that keeps the
 //! levelized backend honest — it collapses 4-state event-driven
 //! evaluation into 2-state straight-line sweeps, and any shortcut that
 //! changes semantics fails here, on compiler-shaped code, not just on
-//! hand-written counters.
+//! hand-written counters. The hardware is generated independently of
+//! XSIM's bytecode compiler, so the same gate checks that compiler on
+//! every RTL construct it lowers (the corpus's `constructs` machine).
+
+mod corpus;
 
 use bitv::BitVector;
+use corpus::{corpus, LEVELS};
 use gensim::{StopReason, Xsim};
 use hgen::{synthesize, HgenOptions};
-use isdl::opt::OptLevel;
 use isdl::Machine;
 use vlog::{AnySim, SimBackend};
 use xasm::{Assembler, Program};
-
-const LEVELS: [OptLevel; 4] =
-    [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive, OptLevel::Full];
-
-const WIDEMUL_PROG: &str = "\
-    lia 255
-    lib 255
-    wmul
-    wmul
-    sqs
-    redund
-    sta 3
-    wdiv
-    wrem
-    dsum 3
-    wdiv
-    halt
-";
-
-const ACC16_SUM: &str = "\
-start: ldi 10
-       sta 1
-loop:  lda 0
-       addm 1
-       sta 0
-       lda 1
-       subm one
-       sta 1
-       jnz loop
-       lda 0
-end:   jmp end
-.data
-.org 60
-one:   .word 1
-";
-
-const TOY_MIXED: &str = "\
-start: li R1, 5
-       li R2, 7
-       li R3, 30
-       add R4, R1, reg(R2) | mv R5, R1
-       st 30, R4
-       sub R6, R4, ind(R3)
-       xor R7, R6, reg(R4)
-       clracc
-       mac R1, R2
-       mac R6, R7
-       nop
-       mvacc R0
-end:   jmp end
-";
-
-/// The same 5-machine corpus as `opt_differential.rs` and
-/// `translate_differential.rs`: every sample machine paired with a
-/// program that halts (or self-loops) under XSIM, including
-/// compiler-generated SPAM kernels.
-fn corpus() -> Vec<(&'static str, Machine, String)> {
-    let spam = isdl::load(isdl::samples::SPAM).expect("spam loads");
-    let spam_asm = archex::compile(&spam, &archex::workloads::fir(3, 8)).expect("compiles").asm;
-    let spam2 = isdl::load(isdl::samples::SPAM2).expect("spam2 loads");
-    let spam2_asm =
-        archex::compile(&spam2, &archex::workloads::vector_update(4)).expect("compiles").asm;
-    vec![
-        ("toy", isdl::load(isdl::samples::TOY).expect("loads"), TOY_MIXED.to_owned()),
-        ("acc16", isdl::load(isdl::samples::ACC16).expect("loads"), ACC16_SUM.to_owned()),
-        ("widemul", isdl::load(isdl::samples::WIDEMUL).expect("loads"), WIDEMUL_PROG.to_owned()),
-        ("spam", spam, spam_asm),
-        ("spam2", spam2, spam2_asm),
-    ]
-}
 
 /// Runs `program` on XSIM until it halts; returns the simulator.
 fn run_xsim<'m>(machine: &'m Machine, program: &Program) -> Xsim<'m> {

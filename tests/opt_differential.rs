@@ -1,128 +1,28 @@
 //! Differential tests for the RTL middle-end ([`isdl::opt`]).
 //!
 //! The optimizer's contract is semantic invisibility: at every
-//! `OptLevel`, on both simulator cores, and in the generated hardware,
-//! programs must produce bit-identical architectural state. These
-//! tests pin that contract across every sample machine, and pin the
-//! acceptance-level wins — WIDEMUL's 128-bit multiply narrowing onto
-//! the u64 bytecode lane, and nonzero eliminations in `xsim-stats/1`.
+//! `OptLevel`, in the simulator and in the generated hardware, programs
+//! must produce bit-identical architectural state. These tests pin that
+//! contract across the shared corpus, and pin the acceptance-level
+//! wins — WIDEMUL's 128-bit multiply narrowing onto the u64 bytecode
+//! lane, and nonzero eliminations in `xsim-stats/1`.
+
+mod corpus;
 
 use bitv::BitVector;
-use gensim::{CoreKind, StopReason, Xsim, XsimOptions};
+use corpus::{corpus, full_state, ACC16_SUM, LEVELS, TOY_MIXED, WIDEMUL_DIV_PROG, WIDEMUL_PROG};
+use gensim::{StopReason, Xsim, XsimOptions};
 use hgen::HgenOptions;
 use isdl::opt::OptLevel;
 use isdl::Machine;
 use xasm::{Assembler, Program};
 
-const LEVELS: [OptLevel; 4] =
-    [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive, OptLevel::Full];
-
-/// Exercises every operation class of the WIDEMUL sample, including
-/// the wide multiply twice (so truncation wrap-around matters) and a
-/// store so memory state is covered. A trailing `nop` sled (memory
-/// reads as zero) keeps extra hardware clocks state-neutral.
-const WIDEMUL_PROG: &str = "\
-    lia 255
-    lib 255
-    wmul
-    wmul
-    sqs
-    redund
-    sta 3
-    halt
-";
-
-/// Exercises the wide divide/remainder ops that stay on the wide
-/// fallback lane until level 3's strength reduction, plus the repeated
-/// indexed load that load forwarding collapses. Level 3's acceptance
-/// gate: bit-identical to level 0 with zero wide fallbacks.
-const WIDEMUL_DIV_PROG: &str = "\
-    lia 240
-    lib 77
-    wdiv
-    wrem
-    sta 5
-    dsum 5
-    wdiv
-    sta 6
-    halt
-";
-
-const ACC16_SUM: &str = "\
-start: ldi 10
-       sta 1
-loop:  lda 0
-       addm 1
-       sta 0
-       lda 1
-       subm one
-       sta 1
-       jnz loop
-       lda 0
-end:   jmp end
-.data
-.org 60
-one:   .word 1
-";
-
-const TOY_MIXED: &str = "\
-start: li R1, 5
-       li R2, 7
-       li R3, 30
-       add R4, R1, reg(R2) | mv R5, R1
-       st 30, R4
-       sub R6, R4, ind(R3)
-       xor R7, R6, reg(R4)
-       clracc
-       mac R1, R2
-       mac R6, R7
-       nop
-       mvacc R0
-end:   jmp end
-";
-
-/// Every sample machine paired with a program that halts (or
-/// self-loops) under XSIM. The SPAM programs come from the paper's
-/// compiled workloads, so the corpus includes compiler-shaped code.
-fn corpus() -> Vec<(&'static str, Machine, String)> {
-    let spam = isdl::load(isdl::samples::SPAM).expect("spam loads");
-    let spam_asm = archex::compile(&spam, &archex::workloads::fir(3, 8)).expect("compiles").asm;
-    let spam2 = isdl::load(isdl::samples::SPAM2).expect("spam2 loads");
-    let spam2_asm =
-        archex::compile(&spam2, &archex::workloads::vector_update(4)).expect("compiles").asm;
-    vec![
-        ("toy", isdl::load(isdl::samples::TOY).expect("loads"), TOY_MIXED.to_owned()),
-        ("acc16", isdl::load(isdl::samples::ACC16).expect("loads"), ACC16_SUM.to_owned()),
-        ("widemul", isdl::load(isdl::samples::WIDEMUL).expect("loads"), WIDEMUL_PROG.to_owned()),
-        (
-            "widemul-div",
-            isdl::load(isdl::samples::WIDEMUL).expect("loads"),
-            WIDEMUL_DIV_PROG.to_owned(),
-        ),
-        ("spam", spam, spam_asm),
-        ("spam2", spam2, spam2_asm),
-    ]
-}
-
-/// Reads every cell of every storage (program counter included) so a
-/// divergence anywhere in architectural state fails the comparison.
-fn full_state(machine: &Machine, sim: &Xsim<'_>) -> Vec<BitVector> {
-    let mut out = Vec::new();
-    for (i, s) in machine.storages.iter().enumerate() {
-        for a in 0..s.cells() {
-            out.push(sim.state().read(isdl::rtl::StorageId(i), a).clone());
-        }
-    }
-    out
-}
-
 fn run_at(
     machine: &Machine,
     program: &Program,
     opt: OptLevel,
-    core: CoreKind,
 ) -> (StopReason, u64, Vec<BitVector>) {
-    let options = XsimOptions { core, opt, ..XsimOptions::default() };
+    let options = XsimOptions { opt, ..XsimOptions::default() };
     let mut sim = Xsim::generate_with(machine, options).expect("generates");
     sim.load_program(program);
     let stop = sim.run(1_000_000);
@@ -130,18 +30,34 @@ fn run_at(
 }
 
 #[test]
-fn every_sample_machine_is_bit_identical_across_opt_levels_and_cores() {
+fn every_sample_machine_is_bit_identical_across_opt_levels() {
     for (name, machine, asm) in corpus() {
         let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
-        let baseline = run_at(&machine, &program, OptLevel::None, CoreKind::Bytecode);
+        let baseline = run_at(&machine, &program, OptLevel::None);
         assert_eq!(baseline.0, StopReason::Halted, "{name}: corpus program must halt");
         for opt in LEVELS {
-            for core in [CoreKind::Bytecode, CoreKind::Tree] {
-                let got = run_at(&machine, &program, opt, core);
-                assert_eq!(got, baseline, "{name} diverges at opt={opt} core={core:?}");
-            }
+            assert_eq!(run_at(&machine, &program, opt), baseline, "{name} diverges at opt={opt}");
         }
     }
+}
+
+/// The construct program's results, worked out by hand from the RTL
+/// semantics: the `max` takes its else arm (F = 3), the comparisons are
+/// signed at the 16-bit operand width, and the concat and the
+/// destination slice land on their exact bits. A corpus edit that
+/// stops a construct from mattering fails here.
+#[test]
+fn constructs_program_computes_the_documented_values() {
+    let machine = isdl::load(corpus::CONSTRUCTS).expect("loads");
+    let program = Assembler::new(&machine).assemble(corpus::CONSTRUCTS_PROG).expect("assembles");
+    let mut sim = Xsim::generate(&machine).expect("generates");
+    sim.load_program(&program);
+    assert_eq!(sim.run(1_000), StopReason::Halted);
+    let rf = machine.storage_by_name("RF").expect("RF").0;
+    let f = machine.storage_by_name("F").expect("F").0;
+    let regs: Vec<u64> = (0..8).map(|r| sim.state().read_u64(rf, r)).collect();
+    assert_eq!(regs, [0xfcff, 0xfc0f, 0xffff, 0x0fc4, 0, 1, 3, 0xfffc]);
+    assert_eq!(sim.state().read_u64(f, 0), 3, "the else arm ran");
 }
 
 #[test]

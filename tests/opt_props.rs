@@ -1,7 +1,7 @@
 //! Property-based differential test for the RTL middle-end
-//! ([`isdl::opt`]): for random programs, every `(OptLevel, CoreKind)`
-//! configuration must produce the same architectural state as the
-//! unoptimized bytecode baseline. Random-program evidence for the
+//! ([`isdl::opt`]): for random programs, every opt level on both
+//! dispatch tiers (interpreted and translated) must produce the same
+//! architectural state as the unoptimized interpreted baseline. Random-program evidence for the
 //! middle-end's semantic-invisibility contract, complementing the
 //! fixed corpus in `tests/opt_differential.rs`.
 //!
@@ -16,7 +16,7 @@
 //! run-to-run determinism.
 
 use bitv::BitVector;
-use gensim::{CoreKind, StopReason, Xsim, XsimOptions};
+use gensim::{StopReason, Xsim, XsimOptions};
 use isdl::opt::{OptLevel, PassKind, PassList, Pipeline};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -80,8 +80,8 @@ fn full_state(machine: &isdl::Machine, sim: &Xsim<'_>) -> Vec<BitVector> {
 fn check_all_configs(machine: &isdl::Machine, src: &str, seed_mem: &[u16]) -> Result<(), String> {
     let program = Assembler::new(machine).assemble(src).map_err(|e| format!("assembles: {e}"))?;
     let dm = machine.storage_by_name("DM").expect("DM").0;
-    let run = |opt: OptLevel, core: CoreKind| {
-        let options = XsimOptions { core, opt, ..XsimOptions::default() };
+    let run = |opt: OptLevel, translate: bool| {
+        let options = XsimOptions { opt, translate, ..XsimOptions::default() };
         let mut sim = Xsim::generate_with(machine, options).expect("generates");
         sim.load_program(&program);
         for (i, &v) in seed_mem.iter().enumerate() {
@@ -90,15 +90,15 @@ fn check_all_configs(machine: &isdl::Machine, src: &str, seed_mem: &[u16]) -> Re
         let stop = sim.run(100_000);
         (stop, sim.stats().cycles, full_state(machine, &sim))
     };
-    let baseline = run(OptLevel::None, CoreKind::Bytecode);
+    let baseline = run(OptLevel::None, false);
     if baseline.0 != StopReason::Halted {
         return Err(format!("baseline did not halt: {:?}", baseline.0));
     }
     for opt in [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive, OptLevel::Full] {
-        for core in [CoreKind::Bytecode, CoreKind::Tree] {
-            let got = run(opt, core);
+        for translate in [false, true] {
+            let got = run(opt, translate);
             if got != baseline {
-                return Err(format!("opt={opt} core={core:?} diverges for:\n{src}"));
+                return Err(format!("opt={opt} translate={translate} diverges for:\n{src}"));
             }
         }
     }

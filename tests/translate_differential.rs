@@ -3,109 +3,31 @@
 //! The translation layer's contract mirrors the middle-end's: semantic
 //! invisibility. Dispatching through fused basic blocks must produce
 //! bit-identical architectural state, address traces, event traces,
-//! and cycle profiles at every opt level, on every sample machine, and
-//! across exploration thread counts. These tests pin that contract,
-//! the self-modifying-store visibility rule (a staged write into
-//! instruction memory applied at end-of-cycle is observed by the next
-//! fetch and precisely invalidates covering blocks), and the
-//! translation statistics surfaced through `xsim-stats/1`.
+//! and cycle profiles at every opt level, on every program of the
+//! shared corpus, and across exploration thread counts. These tests
+//! pin that contract, the self-modifying-store visibility rule (a
+//! staged write into instruction memory applied at end-of-cycle is
+//! observed by the next fetch and precisely invalidates covering
+//! blocks), and the translation statistics surfaced through
+//! `xsim-stats/1`.
+
+mod corpus;
 
 use bitv::BitVector;
-use gensim::{CoreKind, StopReason, Xsim, XsimOptions};
+use corpus::{corpus, full_state, ACC16_SUM, LEVELS};
+use gensim::{StopReason, Xsim, XsimOptions};
 use isdl::opt::OptLevel;
 use isdl::Machine;
 use std::sync::{Arc, Mutex};
 use xasm::{Assembler, Program};
 
-const LEVELS: [OptLevel; 4] =
-    [OptLevel::None, OptLevel::Basic, OptLevel::Aggressive, OptLevel::Full];
-
-const WIDEMUL_PROG: &str = "\
-    lia 255
-    lib 255
-    wmul
-    wmul
-    sqs
-    redund
-    sta 3
-    wdiv
-    wrem
-    dsum 3
-    wdiv
-    halt
-";
-
-const ACC16_SUM: &str = "\
-start: ldi 10
-       sta 1
-loop:  lda 0
-       addm 1
-       sta 0
-       lda 1
-       subm one
-       sta 1
-       jnz loop
-       lda 0
-end:   jmp end
-.data
-.org 60
-one:   .word 1
-";
-
-const TOY_MIXED: &str = "\
-start: li R1, 5
-       li R2, 7
-       li R3, 30
-       add R4, R1, reg(R2) | mv R5, R1
-       st 30, R4
-       sub R6, R4, ind(R3)
-       xor R7, R6, reg(R4)
-       clracc
-       mac R1, R2
-       mac R6, R7
-       nop
-       mvacc R0
-end:   jmp end
-";
-
-/// Every sample machine paired with a program that halts (or
-/// self-loops) under XSIM — the same corpus as `opt_differential.rs`,
-/// so the translation tier is proven on compiler-shaped SPAM code too.
-fn corpus() -> Vec<(&'static str, Machine, String)> {
-    let spam = isdl::load(isdl::samples::SPAM).expect("spam loads");
-    let spam_asm = archex::compile(&spam, &archex::workloads::fir(3, 8)).expect("compiles").asm;
-    let spam2 = isdl::load(isdl::samples::SPAM2).expect("spam2 loads");
-    let spam2_asm =
-        archex::compile(&spam2, &archex::workloads::vector_update(4)).expect("compiles").asm;
-    vec![
-        ("toy", isdl::load(isdl::samples::TOY).expect("loads"), TOY_MIXED.to_owned()),
-        ("acc16", isdl::load(isdl::samples::ACC16).expect("loads"), ACC16_SUM.to_owned()),
-        ("widemul", isdl::load(isdl::samples::WIDEMUL).expect("loads"), WIDEMUL_PROG.to_owned()),
-        ("spam", spam, spam_asm),
-        ("spam2", spam2, spam2_asm),
-    ]
-}
-
-/// Reads every cell of every storage (program counter included) so a
-/// divergence anywhere in architectural state fails the comparison.
-fn full_state(machine: &Machine, sim: &Xsim<'_>) -> Vec<BitVector> {
-    let mut out = Vec::new();
-    for (i, s) in machine.storages.iter().enumerate() {
-        for a in 0..s.cells() {
-            out.push(sim.state().read(isdl::rtl::StorageId(i), a).clone());
-        }
-    }
-    out
-}
-
 fn run_at(
     machine: &Machine,
     program: &Program,
     opt: OptLevel,
-    core: CoreKind,
     translate: bool,
 ) -> (StopReason, u64, u64, Vec<BitVector>) {
-    let options = XsimOptions { core, opt, translate, ..XsimOptions::default() };
+    let options = XsimOptions { opt, translate, ..XsimOptions::default() };
     let mut sim = Xsim::generate_with(machine, options).expect("generates");
     sim.load_program(program);
     let stop = sim.run(1_000_000);
@@ -116,17 +38,13 @@ fn run_at(
 fn translated_dispatch_is_bit_identical_across_samples_and_opt_levels() {
     for (name, machine, asm) in corpus() {
         let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
-        let baseline = run_at(&machine, &program, OptLevel::None, CoreKind::Bytecode, false);
+        let baseline = run_at(&machine, &program, OptLevel::None, false);
         assert_eq!(baseline.0, StopReason::Halted, "{name}: corpus program must halt");
         for opt in LEVELS {
             for translate in [false, true] {
-                let got = run_at(&machine, &program, opt, CoreKind::Bytecode, translate);
+                let got = run_at(&machine, &program, opt, translate);
                 assert_eq!(got, baseline, "{name} diverges at opt={opt} translate={translate}");
             }
-            // The tree core ignores the translate flag; it must agree
-            // regardless of what the flag says.
-            let got = run_at(&machine, &program, opt, CoreKind::Tree, true);
-            assert_eq!(got, baseline, "{name} tree core diverges at opt={opt}");
         }
     }
 }
@@ -221,32 +139,30 @@ const SMC_MACHINE: &str = r#"
     }
 "#;
 
-fn run_smc<'m>(machine: &'m Machine, asm: &str, core: CoreKind, translate: bool) -> Xsim<'m> {
+fn run_smc<'m>(machine: &'m Machine, asm: &str, translate: bool) -> Xsim<'m> {
     let program = Assembler::new(machine).assemble(asm).expect("assembles");
-    let options = XsimOptions { core, translate, ..XsimOptions::default() };
+    let options = XsimOptions { translate, ..XsimOptions::default() };
     let mut sim = Xsim::generate_with(machine, options).expect("generates");
     sim.load_program(&program);
     assert_eq!(sim.run(1_000), StopReason::Halted, "smc program halts");
     sim
 }
 
-/// The satellite-3 visibility rule: a store into instruction memory
-/// applied at end-of-cycle is observed by the *next* fetch. `sti 2`
-/// rewrites the following instruction (`dbl`, which would double A to
-/// 20) into `inc` — every tier must execute the new code and read 11.
+/// The visibility rule: a store into instruction memory applied at
+/// end-of-cycle is observed by the *next* fetch. `sti 2` rewrites the
+/// following instruction (`dbl`, which would double A to 20) into
+/// `inc` — both tiers must execute the new code and read 11.
 #[test]
 fn code_store_is_visible_to_the_next_fetch() {
     let machine = isdl::load(SMC_MACHINE).expect("loads");
     let asm = "ldi 10\nsti 2\ndbl\nsta 0\nhalt\n";
     let dm = machine.storage_by_name("DM").expect("DM").0;
-    for (core, translate) in
-        [(CoreKind::Tree, false), (CoreKind::Bytecode, false), (CoreKind::Bytecode, true)]
-    {
-        let sim = run_smc(&machine, asm, core, translate);
+    for translate in [false, true] {
+        let sim = run_smc(&machine, asm, translate);
         assert_eq!(
             sim.state().read_u64(dm, 0),
             11,
-            "core {core:?} translate={translate}: next fetch must see the rewritten instruction"
+            "translate={translate}: next fetch must see the rewritten instruction"
         );
     }
 }
@@ -262,11 +178,9 @@ fn latent_code_store_invalidates_a_block_mid_flight() {
     let asm = "ldi 10\nsti3 5\nnop\nnop\nnop\ndbl\nsta 0\nhalt\n";
     let dm = machine.storage_by_name("DM").expect("DM").0;
     let mut dumps = Vec::new();
-    for (core, translate) in
-        [(CoreKind::Tree, false), (CoreKind::Bytecode, false), (CoreKind::Bytecode, true)]
-    {
-        let sim = run_smc(&machine, asm, core, translate);
-        assert_eq!(sim.state().read_u64(dm, 0), 11, "core {core:?} translate={translate}");
+    for translate in [false, true] {
+        let sim = run_smc(&machine, asm, translate);
+        assert_eq!(sim.state().read_u64(dm, 0), 11, "translate={translate}");
         dumps.push((sim.stats().clone(), full_state(&machine, &sim)));
         if translate {
             let t = sim.translate_stats();
@@ -275,7 +189,7 @@ fn latent_code_store_invalidates_a_block_mid_flight() {
             assert!(t.blocks >= 3, "head block, stale block, re-translated tail: {t:?}");
         }
     }
-    assert!(dumps.windows(2).all(|w| w[0] == w[1]), "all tiers agree on state and stats");
+    assert_eq!(dumps[0], dumps[1], "both tiers agree on state and stats");
 }
 
 /// Translation statistics: blocks and fused retires on a real SPAM

@@ -184,32 +184,28 @@ fn bad_usage_fails_cleanly() {
     let (_, stderr, ok) = xsim(&[&machine, &prog, "--frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown flag"), "{stderr}");
-    let (_, stderr, ok) = xsim(&[&machine, &prog, "--core", "quantum"]);
-    assert!(!ok);
-    assert!(stderr.contains("unknown core"), "{stderr}");
 }
 
+/// The translated tier and the interpreter charge the same cycles,
+/// static stalls included, on a program with hazards: SPAM's FIR.
 #[test]
-fn core_choice_does_not_change_the_stats() {
-    let (machine, prog) = fixture_paths("core_choice_does_not_change_the_stats");
+fn translation_does_not_change_the_stats_of_a_program_with_hazards() {
     let run = |extra: &[&str]| {
-        let mut args = vec![machine.as_str(), prog.as_str(), "--stats", "-"];
+        let mut args = vec!["fixtures/spam.isdl", "fixtures/fir3x8_spam.asm", "--stats", "-"];
         args.extend_from_slice(extra);
         let (stdout, stderr, ok) = xsim(&args);
         assert!(ok, "stderr: {stderr}");
         let mut json = Json::parse(&stdout).expect("parses");
+        assert_eq!(json.get_u64("cycles"), Some(103));
+        assert_eq!(json.get_u64("stall_cycles"), Some(30));
+        assert_eq!(json.get_u64("instructions"), Some(73));
         // Timing differs run to run, and the translate block reports
-        // the dispatch mode (which intentionally depends on core and
-        // decode strategy); compare the architectural counters.
+        // the dispatch mode itself; compare the architectural counters.
         json.insert("timing_us", Json::Null);
         json.insert("translate", Json::Null);
         json.to_string()
     };
-    let bytecode = run(&[]);
-    let tree = run(&["--core", "tree"]);
-    let no_offline = run(&["--no-offline-decode"]);
-    assert_eq!(bytecode, tree, "tree and bytecode cores agree");
-    assert_eq!(bytecode, no_offline, "decode strategy cannot change the counters");
+    assert_eq!(run(&[]), run(&["--no-translate"]), "dispatch tier cannot change the counters");
 }
 
 /// `--netlist-sim` replays the halted program, `.data` image included,
