@@ -11,7 +11,9 @@
 //!
 //! Values of 64 bits or fewer are stored inline (no heap allocation), so
 //! simulator state updates for typical 16/32/64-bit architectures are
-//! allocation-free.
+//! allocation-free. Wider values are little-endian 64-bit words, and
+//! every operation works a word at a time and allocates at most once
+//! per result.
 //!
 //! # Examples
 //!
@@ -185,6 +187,17 @@ impl BitVector {
         self.bit(self.width - 1)
     }
 
+    /// The value as little-endian 64-bit words (least-significant word
+    /// first), `width().div_ceil(64)` of them. Bits above the width
+    /// read as zero.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        match &self.repr {
+            Repr::Inline(w) => std::slice::from_ref(w),
+            Repr::Heap(ws) => ws,
+        }
+    }
+
     /// The low 64 bits of the value, discarding anything above.
     #[must_use]
     pub fn to_u64_lossy(&self) -> u64 {
@@ -213,14 +226,9 @@ impl BitVector {
         if self.width <= WORD_BITS {
             return Some(self.sext(WORD_BITS).load_word(0) as i64);
         }
-        // Fits in i64 iff all bits from 63 upward agree with the sign.
-        let sign = self.sign_bit();
-        for i in (WORD_BITS - 1)..self.width {
-            if self.bit(i) != sign {
-                return None;
-            }
-        }
-        Some(self.load_word(0) as i64)
+        // Fits in i64 iff sign-extending the low word gives the value back.
+        let low = self.load_word(0) as i64;
+        (Self::from_i64(low, self.width) == *self).then_some(low)
     }
 
     /// Number of one bits.
@@ -241,9 +249,12 @@ impl BitVector {
     pub fn slice(&self, hi: u32, lo: u32) -> Self {
         assert!(hi >= lo, "slice high bit {hi} below low bit {lo}");
         assert!(hi < self.width, "slice high bit {hi} out of range for width {}", self.width);
-        let w = hi - lo + 1;
-        let shifted = self.lshr(lo);
-        shifted.trunc(w)
+        let mut out = Self::zero(hi - lo + 1);
+        for (i, d) in out.words_mut().iter_mut().enumerate() {
+            *d = window(self.words(), lo + i as u32 * WORD_BITS);
+        }
+        out.normalize();
+        out
     }
 
     /// Returns a copy with bits `hi..=lo` replaced by `src` (whose width
@@ -257,27 +268,15 @@ impl BitVector {
         assert!(hi >= lo && hi < self.width, "invalid slice range {hi}:{lo}");
         assert_eq!(src.width(), hi - lo + 1, "slice source width mismatch");
         let mut out = self.clone();
-        for i in 0..src.width() {
-            out = out.with_bit(lo + i, src.bit(i));
-        }
+        deposit_all(out.words_mut(), lo, src);
         out
     }
 
     /// Concatenates `self` (high part) with `low` (low part).
     #[must_use]
     pub fn concat(&self, low: &Self) -> Self {
-        let width = self.width + low.width;
-        let mut out = Self::zero(width);
-        for i in 0..low.width {
-            if low.bit(i) {
-                out = out.with_bit(i, true);
-            }
-        }
-        for i in 0..self.width {
-            if self.bit(i) {
-                out = out.with_bit(low.width + i, true);
-            }
-        }
+        let mut out = low.zext(self.width + low.width);
+        deposit_all(out.words_mut(), low.width, self);
         out
     }
 
@@ -311,9 +310,7 @@ impl BitVector {
         }
         let mut out = self.zext(width);
         if self.sign_bit() {
-            for i in self.width..width {
-                out = out.with_bit(i, true);
-            }
+            set_ones(out.words_mut(), self.width, width);
         }
         out
     }
@@ -380,6 +377,13 @@ impl BitVector {
         }
     }
 
+    fn words_mut(&mut self) -> &mut [u64] {
+        match &mut self.repr {
+            Repr::Inline(w) => std::slice::from_mut(w),
+            Repr::Heap(ws) => ws,
+        }
+    }
+
     fn load_word_or_zero(&self, i: usize) -> u64 {
         if i < Self::word_count(self.width) {
             self.load_word(i)
@@ -419,10 +423,6 @@ impl BitVector {
         out
     }
 
-    pub(crate) fn words_iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..Self::word_count(self.width)).map(|i| self.load_word(i))
-    }
-
     pub(crate) fn set_word(&mut self, i: usize, v: u64) {
         self.store_word(i, v);
     }
@@ -437,6 +437,49 @@ impl BitVector {
 
     pub(crate) fn n_words(&self) -> usize {
         Self::word_count(self.width)
+    }
+}
+
+/// Bits `[pos, pos + 64)` of the little-endian `words`; bits past the
+/// last word read as zero.
+fn window(words: &[u64], pos: u32) -> u64 {
+    let (wi, off) = ((pos / WORD_BITS) as usize, pos % WORD_BITS);
+    let low = words.get(wi).map_or(0, |w| w >> off);
+    if off == 0 {
+        return low;
+    }
+    low | words.get(wi + 1).map_or(0, |w| w << (WORD_BITS - off))
+}
+
+/// Overwrites bits `[pos, pos + n)` of `words` with the low `n` bits of
+/// `v`, for `n` in `1..=64`.
+fn deposit(words: &mut [u64], pos: u32, n: u32, v: u64) {
+    let mask = u64::MAX >> (WORD_BITS - n);
+    let v = v & mask;
+    let (wi, off) = ((pos / WORD_BITS) as usize, pos % WORD_BITS);
+    words[wi] = (words[wi] & !(mask << off)) | (v << off);
+    if off + n > WORD_BITS {
+        // The part that did not fit in `words[wi]`.
+        let placed = WORD_BITS - off;
+        words[wi + 1] = (words[wi + 1] & !(mask >> placed)) | (v >> placed);
+    }
+}
+
+/// Overwrites bits `[pos, pos + src.width())` of `words` with `src`.
+fn deposit_all(words: &mut [u64], pos: u32, src: &BitVector) {
+    for (i, &w) in src.words().iter().enumerate() {
+        let lo = i as u32 * WORD_BITS;
+        deposit(words, pos + lo, (src.width - lo).min(WORD_BITS), w);
+    }
+}
+
+/// Sets bits `[lo, hi)` of `words` to one.
+fn set_ones(words: &mut [u64], lo: u32, hi: u32) {
+    let mut pos = lo;
+    while pos < hi {
+        let n = (hi - pos).min(WORD_BITS - pos % WORD_BITS);
+        deposit(words, pos, n, u64::MAX);
+        pos += n;
     }
 }
 
@@ -646,5 +689,132 @@ mod tests {
     fn from_bool_conversion() {
         let t: BitVector = true.into();
         assert_eq!(t, BitVector::from_u64(1, 1));
+    }
+
+    // ---- the word-at-a-time operations against a one-bool-per-bit model ----
+
+    /// Widths at and around the 64-bit word boundaries.
+    const WORD_EDGES: [u32; 7] = [63, 64, 65, 127, 128, 129, 192];
+
+    fn model(v: &BitVector) -> Vec<bool> {
+        (0..v.width()).map(|i| v.bit(i)).collect()
+    }
+
+    fn from_model(bits: &[bool]) -> BitVector {
+        let mut v = BitVector::zero(bits.len() as u32);
+        for (i, &b) in bits.iter().enumerate() {
+            v = v.with_bit(i as u32, b);
+        }
+        v
+    }
+
+    /// Deterministic values of width `w`: a mixed pattern, one with the
+    /// sign bit set, all ones, and a lone sign bit.
+    fn samples(w: u32) -> Vec<BitVector> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(w));
+        let words: Vec<u64> = (0..4)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect();
+        let mixed = BitVector::from_words(&words, w);
+        vec![
+            mixed.with_bit(w - 1, false),
+            mixed.with_bit(w - 1, true),
+            BitVector::all_ones(w),
+            BitVector::zero(w).with_bit(w - 1, true),
+        ]
+    }
+
+    fn shift_amounts(w: u32) -> Vec<u32> {
+        vec![0, 1, 31, 63, 64, 65, 127, 128, w - 1, w, w + 7]
+    }
+
+    #[test]
+    fn shifts_match_the_bit_model_across_word_edges() {
+        for w in WORD_EDGES {
+            for v in samples(w) {
+                let m = model(&v);
+                let sign = m[w as usize - 1];
+                for amt in shift_amounts(w) {
+                    let a = amt as usize;
+                    let n = w as usize;
+                    let shl: Vec<bool> = (0..n).map(|i| i >= a && m[i - a]).collect();
+                    let lshr: Vec<bool> = (0..n).map(|i| i + a < n && m[i + a]).collect();
+                    let ashr: Vec<bool> =
+                        (0..n).map(|i| if i + a < n { m[i + a] } else { sign }).collect();
+                    assert_eq!(model(&v.shl(amt)), shl, "{v:?} << {amt}");
+                    assert_eq!(model(&v.lshr(amt)), lshr, "{v:?} >> {amt}");
+                    assert_eq!(model(&v.ashr(amt)), ashr, "{v:?} >>> {amt}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slices_match_the_bit_model_across_word_edges() {
+        for w in WORD_EDGES {
+            for v in samples(w) {
+                let m = model(&v);
+                for lo in [0, 1, 62, 63, 64, 65, w / 2, w - 1] {
+                    for hi in [lo, lo + 1, lo + 63, lo + 64, lo + 65, w - 1] {
+                        if hi < lo || hi >= w {
+                            continue;
+                        }
+                        let (l, h) = (lo as usize, hi as usize);
+                        assert_eq!(model(&v.slice(hi, lo)), m[l..=h], "{v:?}[{hi}:{lo}]");
+                        let src = samples(hi - lo + 1).swap_remove(1);
+                        let mut want = m.clone();
+                        want[l..=h].copy_from_slice(&model(&src));
+                        assert_eq!(
+                            model(&v.with_slice(hi, lo, &src)),
+                            want,
+                            "[{hi}:{lo}] = {src:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concat_and_extensions_match_the_bit_model_across_word_edges() {
+        for w in WORD_EDGES {
+            for v in samples(w) {
+                let m = model(&v);
+                for low_w in [1, 3, 63, 64, 65, 128] {
+                    let low = samples(low_w).swap_remove(0);
+                    let mut want = model(&low);
+                    want.extend(&m);
+                    assert_eq!(model(&v.concat(&low)), want, "{v:?} ++ {low:?}");
+                }
+                for to in [w - 1, w, w + 1, w + 63, w + 64, 200] {
+                    let n = to as usize;
+                    let sign = m[w as usize - 1];
+                    let fill = |ext: bool| -> Vec<bool> {
+                        (0..n).map(|i| if i < m.len() { m[i] } else { ext }).collect()
+                    };
+                    assert_eq!(model(&v.zext(to)), fill(false), "zext {v:?} to {to}");
+                    assert_eq!(model(&v.sext(to)), fill(sign), "sext {v:?} to {to}");
+                    if to <= w {
+                        assert_eq!(model(&v.trunc(to)), m[..n], "trunc {v:?} to {to}");
+                    }
+                }
+                assert_eq!(from_model(&m), v);
+            }
+        }
+    }
+
+    #[test]
+    fn to_i64_of_wide_values() {
+        for w in [65, 128, 192] {
+            assert_eq!(BitVector::from_i64(i64::MIN, w).to_i64(), Some(i64::MIN));
+            assert_eq!(BitVector::from_i64(i64::MAX, w).to_i64(), Some(i64::MAX));
+            assert_eq!(BitVector::from_u64(1 << 63, w).to_i64(), None);
+            assert_eq!(BitVector::from_i64(-1, w).with_bit(64, false).to_i64(), None);
+        }
     }
 }

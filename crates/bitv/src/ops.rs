@@ -5,7 +5,7 @@
 //! panic otherwise — width adaptation is an explicit decision the RTL
 //! layer makes with `zext`/`sext`/`trunc`.
 
-use crate::BitVector;
+use crate::{set_ones, window, BitVector, WORD_BITS};
 
 impl BitVector {
     /// Wrapping addition.
@@ -200,8 +200,8 @@ impl BitVector {
     #[must_use]
     pub fn not(&self) -> Self {
         let mut out = Self::zero(self.width);
-        for (i, w) in self.words_iter().enumerate() {
-            out.set_word(i, !w);
+        for (d, &w) in out.words_mut().iter_mut().zip(self.words()) {
+            *d = !w;
         }
         out.renormalize();
         out
@@ -214,11 +214,15 @@ impl BitVector {
             return Self::zero(self.width);
         }
         let mut out = Self::zero(self.width);
-        for i in (amount..self.width).rev() {
-            if self.bit(i - amount) {
-                out = out.with_bit(i, true);
+        let (skip, off) = ((amount / WORD_BITS) as usize, amount % WORD_BITS);
+        let src = self.words();
+        for (i, d) in out.words_mut().iter_mut().enumerate().skip(skip) {
+            *d = src[i - skip] << off;
+            if off != 0 && i > skip {
+                *d |= src[i - skip - 1] >> (WORD_BITS - off);
             }
         }
+        out.renormalize();
         out
     }
 
@@ -229,10 +233,8 @@ impl BitVector {
             return Self::zero(self.width);
         }
         let mut out = Self::zero(self.width);
-        for i in 0..(self.width - amount) {
-            if self.bit(i + amount) {
-                out = out.with_bit(i, true);
-            }
+        for (i, d) in out.words_mut().iter_mut().enumerate() {
+            *d = window(self.words(), amount + i as u32 * WORD_BITS);
         }
         out
     }
@@ -247,9 +249,7 @@ impl BitVector {
         }
         let mut out = self.lshr(amount);
         if sign {
-            for i in (self.width - amount)..self.width {
-                out = out.with_bit(i, true);
-            }
+            set_ones(out.words_mut(), self.width - amount, self.width);
         }
         out
     }

@@ -1,6 +1,8 @@
 //! Property-based tests: `BitVector` arithmetic must agree with
 //! native `u128` arithmetic masked to the width, for every operation
-//! and width.
+//! and width; shifts, slices, concatenation and width changes must
+//! agree with a one-`bool`-per-bit model at widths up to 200 bits,
+//! where values span up to four 64-bit words.
 #![allow(clippy::manual_checked_ops)] // div-by-zero branch mirrors the documented convention
 
 use bitv::BitVector;
@@ -158,5 +160,78 @@ proptest! {
         let v = bv(a, w);
         let parsed: BitVector = v.to_string().parse().expect("display output parses");
         prop_assert_eq!(parsed, v);
+    }
+}
+
+/// A width in 1..=200 and a bit pattern of that width, least
+/// significant bit first.
+fn bits_strategy() -> impl Strategy<Value = Vec<bool>> {
+    proptest::collection::vec(any::<bool>(), 1usize..=200)
+}
+
+fn from_bits(bits: &[bool]) -> BitVector {
+    let mut words = vec![0u64; bits.len().div_ceil(64)];
+    for (i, &b) in bits.iter().enumerate() {
+        words[i / 64] |= u64::from(b) << (i % 64);
+    }
+    BitVector::from_words(&words, bits.len() as u32)
+}
+
+fn to_bits(v: &BitVector) -> Vec<bool> {
+    (0..v.width()).map(|i| v.bit(i)).collect()
+}
+
+proptest! {
+    #[test]
+    fn wide_shifts_match_the_bit_model(m in bits_strategy(), amt in 0u32..220) {
+        let v = from_bits(&m);
+        let (n, a) = (m.len(), amt as usize);
+        let sign = m[n - 1];
+        let shl: Vec<bool> = (0..n).map(|i| i >= a && m[i - a]).collect();
+        let lshr: Vec<bool> = (0..n).map(|i| i + a < n && m[i + a]).collect();
+        let ashr: Vec<bool> = (0..n).map(|i| if i + a < n { m[i + a] } else { sign }).collect();
+        prop_assert_eq!(to_bits(&v.shl(amt)), shl);
+        prop_assert_eq!(to_bits(&v.lshr(amt)), lshr);
+        prop_assert_eq!(to_bits(&v.ashr(amt)), ashr);
+    }
+
+    #[test]
+    fn wide_slices_match_the_bit_model(
+        m in bits_strategy(),
+        x in any::<u32>(),
+        y in any::<u32>(),
+        src in proptest::collection::vec(any::<bool>(), 200),
+    ) {
+        let n = m.len() as u32;
+        let (lo, hi) = { let (a, b) = (x % n, y % n); (a.min(b), a.max(b)) };
+        let (l, h) = (lo as usize, hi as usize);
+        let v = from_bits(&m);
+        prop_assert_eq!(to_bits(&v.slice(hi, lo)), m[l..=h].to_vec());
+        let patch = &src[..=h - l];
+        let mut want = m.clone();
+        want[l..=h].copy_from_slice(patch);
+        prop_assert_eq!(to_bits(&v.with_slice(hi, lo, &from_bits(patch))), want);
+    }
+
+    #[test]
+    fn wide_concat_matches_the_bit_model(hi in bits_strategy(), lo in bits_strategy()) {
+        let mut want = lo.clone();
+        want.extend(&hi);
+        prop_assert_eq!(to_bits(&from_bits(&hi).concat(&from_bits(&lo))), want);
+    }
+
+    #[test]
+    fn wide_width_changes_match_the_bit_model(m in bits_strategy(), to in 1u32..=200) {
+        let v = from_bits(&m);
+        let n = to as usize;
+        let sign = m[m.len() - 1];
+        let fill = |ext: bool| -> Vec<bool> {
+            (0..n).map(|i| if i < m.len() { m[i] } else { ext }).collect()
+        };
+        prop_assert_eq!(to_bits(&v.zext(to)), fill(false));
+        prop_assert_eq!(to_bits(&v.sext(to)), fill(sign));
+        if n <= m.len() {
+            prop_assert_eq!(to_bits(&v.trunc(to)), m[..n].to_vec());
+        }
     }
 }

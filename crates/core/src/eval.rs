@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::panic::AssertUnwindSafe;
 use std::sync::Once;
-use xasm::{Assembler, Disassembler, Operand};
+use xasm::Assembler;
 
 /// A stage of the evaluation pipeline (the boxes of the paper's
 /// Figure 1 loop) — used to attribute panics and to address
@@ -199,40 +199,6 @@ pub struct KernelRun {
     /// compiled program (feeds the remove-unused-addressing-mode
     /// mutation).
     pub nt_option_counts: HashMap<(NtId, usize), u64>,
-}
-
-/// Counts non-terminal option occurrences in an assembled program.
-fn count_nt_options(machine: &Machine, program: &xasm::Program) -> HashMap<(NtId, usize), u64> {
-    // An undecodable machine yields no counts (the mutation that feeds
-    // on them simply proposes nothing).
-    let Ok(d) = Disassembler::try_new(machine) else {
-        return HashMap::new();
-    };
-    let mut out = HashMap::new();
-    let mut addr = 0u64;
-    while (addr as usize) < program.words.len() {
-        let end = (addr as usize + d.max_size() as usize).min(program.words.len());
-        let Ok(instr) = d.decode(&program.words[addr as usize..end], addr) else {
-            addr += 1;
-            continue;
-        };
-        for op in &instr.ops {
-            for arg in &op.args {
-                count_operand(arg, &mut out);
-            }
-        }
-        addr += u64::from(instr.size);
-    }
-    out
-}
-
-fn count_operand(arg: &Operand, out: &mut HashMap<(NtId, usize), u64>) {
-    if let Operand::NonTerminal { nt, option, args } = arg {
-        *out.entry((*nt, *option)).or_insert(0) += 1;
-        for a in args {
-            count_operand(a, out);
-        }
-    }
 }
 
 /// A full evaluation: metrics plus the raw per-kernel outputs.
@@ -600,7 +566,7 @@ pub fn evaluate_with(
         kernel_stats.push(KernelRun {
             name: kernel.name.clone(),
             op_counts: sim.op_counts(),
-            nt_option_counts: count_nt_options(machine, &program),
+            nt_option_counts: sim.nt_option_counts().clone(),
             stats,
         });
         if netlist != NetlistCheck::Off {

@@ -154,39 +154,6 @@ impl StateView for crate::state::State {
     }
 }
 
-/// A view of base state with a list of staged writes applied — what the
-/// side-effect phase reads (cycle-start state plus the action phase's
-/// writes), per the documented cycle model.
-#[derive(Debug)]
-pub struct OverlayView<'a, V: StateView> {
-    base: &'a V,
-    writes: &'a [StagedWrite],
-}
-
-impl<'a, V: StateView> OverlayView<'a, V> {
-    /// Creates a view of `base` with `writes` applied in order.
-    #[must_use]
-    pub fn new(base: &'a V, writes: &'a [StagedWrite]) -> Self {
-        Self { base, writes }
-    }
-}
-
-impl<V: StateView> StateView for OverlayView<'_, V> {
-    fn read_cell(&self, storage: StorageId, index: u64) -> BitVector {
-        let mut v = self.base.read_cell(storage, index);
-        for w in self.writes {
-            if w.storage == storage && w.index == index {
-                v = if w.lo == 0 && w.hi == v.width() - 1 {
-                    w.value.clone()
-                } else {
-                    v.with_slice(w.hi, w.lo, &w.value)
-                };
-            }
-        }
-        v
-    }
-}
-
 /// An execution frame: one operation plus its operand bindings.
 #[derive(Debug, Clone, Copy)]
 pub struct Frame<'a> {
@@ -301,22 +268,10 @@ fn resolve_lvalue<V: StateView>(
     }
 }
 
-/// Evaluates an expression to a bit-true value.
-///
-/// # Errors
-/// Returns an [`ExecError`] when a parameter binding is missing or has
-/// the wrong shape, or an option lacks a required `value` clause.
-pub fn eval<V: StateView>(
-    machine: &Machine,
-    e: &RExpr,
-    frame: Frame<'_>,
-    view: &V,
-) -> Result<BitVector, ExecError> {
-    eval_with(machine, e, frame, view, &[])
-}
-
-/// [`eval`] with an environment for optimizer temporaries; a `Tmp`
-/// reference outside any bound `Let` is [`ExecError::UnboundTmp`].
+/// Evaluates an expression to a bit-true value, with an environment for
+/// optimizer temporaries. A missing or misshapen parameter binding, an
+/// option without a required `value` clause, or a `Tmp` reference
+/// outside any bound `Let` is an [`ExecError`].
 fn eval_with<V: StateView>(
     machine: &Machine,
     e: &RExpr,
@@ -508,22 +463,6 @@ mod tests {
         assert_eq!(se_writes.len(), 1);
         assert_eq!(se_writes[0].storage, z);
         assert_eq!(se_writes[0].value.to_u64_lossy(), 1);
-    }
-
-    #[test]
-    fn overlay_view_merges_partial_writes() {
-        let s = setup();
-        let acc = s.machine.storage_by_name("ACC").expect("ACC").0;
-        let writes = vec![StagedWrite {
-            storage: acc,
-            index: 0,
-            hi: 7,
-            lo: 0,
-            value: BitVector::from_u64(0xCD, 8),
-            latency: 1,
-        }];
-        let view = OverlayView::new(&s.state, &writes);
-        assert_eq!(view.read_cell(acc, 0).to_u64_lossy(), 0x00CD);
     }
 
     #[test]

@@ -36,13 +36,13 @@ use crate::hazard;
 use crate::state::State;
 use crate::translate::{Block, BlockCache, BlockInstr, Fused, TranslateStats};
 use bitv::BitVector;
-use isdl::model::{Machine, OpRef};
+use isdl::model::{Machine, NtId, OpRef};
 use isdl::rtl::StorageId;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::io::Write;
 use std::rc::Rc;
-use xasm::{DecodedInstr, Disassembler, Program};
+use xasm::{DecodedInstr, Disassembler, Operand, Program};
 
 /// Options controlling simulator generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,6 +380,17 @@ pub(crate) struct Plan {
     pub(crate) latency: u32,
 }
 
+/// Adds one to `counts[(nt, option)]` for the non-terminal option `arg`
+/// selects, and for every option nested inside it.
+fn count_nt_options(arg: &Operand, counts: &mut HashMap<(NtId, usize), u64>) {
+    if let Operand::NonTerminal { nt, option, args } = arg {
+        *counts.entry((*nt, *option)).or_insert(0) += 1;
+        for a in args {
+            count_nt_options(a, counts);
+        }
+    }
+}
+
 /// One pre-decoded instruction, ready to execute.
 #[derive(Debug)]
 pub(crate) struct DecodedEntry {
@@ -422,6 +433,9 @@ pub struct Xsim<'m> {
     pc_id: StorageId,
     imem_id: StorageId,
     decoded: Vec<Option<Rc<DecodedEntry>>>,
+    /// Static occurrences of each non-terminal option `(nt, option)` in
+    /// the instructions the off-line pass decoded at load time.
+    nt_options: HashMap<(NtId, usize), u64>,
     bytecode: crate::bytecode::Cache,
     /// Translated basic-block cache (the fused dispatch tier).
     blocks: BlockCache,
@@ -503,6 +517,7 @@ impl<'m> Xsim<'m> {
             pc_id,
             imem_id,
             decoded: vec![None; depth],
+            nt_options: HashMap::new(),
             bytecode: crate::bytecode::Cache::new(),
             blocks: BlockCache::default(),
             imem_dirty: Vec::new(),
@@ -731,6 +746,16 @@ impl<'m> Xsim<'m> {
         self.decoded.get(addr as usize)?.as_ref()
     }
 
+    /// How often each non-terminal option `(nt, option)` occurs in the
+    /// loaded program: the static count over the instructions the
+    /// off-line pass decoded at load time, walking sequentially from
+    /// address 0. Instructions decoded later, at run time, do not
+    /// change it.
+    #[must_use]
+    pub fn nt_option_counts(&self) -> &HashMap<(NtId, usize), u64> {
+        &self.nt_options
+    }
+
     /// Flat per-(field, op) execution counts, indexed `[field][op]` —
     /// the raw table behind [`Xsim::op_counts`], used by the stats
     /// report.
@@ -803,6 +828,12 @@ impl<'m> Xsim<'m> {
             if let Some(e) = plain[addr as usize].as_mut() {
                 e.stall = stall;
                 e.stall_cause = Some(cause);
+            }
+        }
+        self.nt_options.clear();
+        for e in plain.iter().flatten() {
+            for arg in e.instr.ops.iter().flat_map(|op| &op.args) {
+                count_nt_options(arg, &mut self.nt_options);
             }
         }
         for (i, e) in plain.into_iter().enumerate() {

@@ -14,7 +14,7 @@
 //! comparator per operation instead of a few literals.
 
 use isdl::model::{Machine, NtId, OpRef, Operation, ParamType};
-use isdl::signature::{SigBit, Signature};
+use isdl::signature::{SigBit, Signature, SignatureTable};
 use vlog::ast::{VBinOp, VExpr, VUnOp};
 
 /// How decode lines are implemented.
@@ -32,10 +32,7 @@ pub enum DecodeStyle {
 #[derive(Debug)]
 pub struct DecodePlan<'m> {
     machine: &'m Machine,
-    /// `field_sigs[f][o]`.
-    pub field_sigs: Vec<Vec<Signature>>,
-    /// `nt_sigs[n][o]`.
-    pub nt_sigs: Vec<Vec<Signature>>,
+    sigs: SignatureTable,
     /// Width of the widest encoding (`max_size * word_width`).
     pub wide_width: u32,
 }
@@ -54,35 +51,9 @@ impl<'m> DecodePlan<'m> {
     /// always valid.
     #[must_use]
     pub fn new(machine: &'m Machine) -> Self {
-        let field_sigs = machine
-            .fields
-            .iter()
-            .map(|f| {
-                f.ops
-                    .iter()
-                    .map(|o| {
-                        Signature::from_encoding(&o.encode, o.costs.size * machine.word_width)
-                            .expect("validated machine")
-                    })
-                    .collect()
-            })
-            .collect();
-        let nt_sigs = machine
-            .nonterminals
-            .iter()
-            .map(|nt| {
-                nt.options
-                    .iter()
-                    .map(|o| {
-                        Signature::from_encoding(&o.encode, nt.width).expect("validated machine")
-                    })
-                    .collect()
-            })
-            .collect();
         Self {
             machine,
-            field_sigs,
-            nt_sigs,
+            sigs: SignatureTable::new(machine).expect("validated machine"),
             wide_width: machine.max_op_size() * machine.word_width,
         }
     }
@@ -91,7 +62,7 @@ impl<'m> DecodePlan<'m> {
     /// instruction net `instr_net`.
     #[must_use]
     pub fn decode_line(&self, r: OpRef, instr_net: &str, style: DecodeStyle) -> VExpr {
-        let sig = &self.field_sigs[r.field.0][r.op];
+        let sig = self.sigs.op(r);
         match style {
             DecodeStyle::TwoLevel => literal_and(sig, instr_net, 0),
             DecodeStyle::NaiveComparator => masked_compare(sig, instr_net),
@@ -110,7 +81,7 @@ impl<'m> DecodePlan<'m> {
         nt_bit_positions: &[Option<u32>],
         style: DecodeStyle,
     ) -> VExpr {
-        let sig = &self.nt_sigs[nt.0][option];
+        let sig = &self.sigs.options(nt)[option];
         match style {
             DecodeStyle::TwoLevel => {
                 let mut terms = Vec::new();
@@ -156,7 +127,7 @@ impl<'m> DecodePlan<'m> {
     pub fn param_positions(&self, r: OpRef, param: usize) -> Vec<Option<u32>> {
         let op = self.machine.op(r);
         let enc_w = self.machine.param_encoding_width(op.params[param].ty);
-        positions_in(&self.field_sigs[r.field.0][r.op], param, enc_w)
+        positions_in(self.sigs.op(r), param, enc_w)
     }
 
     /// Word-bit positions of a nested token parameter reached through
@@ -175,7 +146,7 @@ impl<'m> DecodePlan<'m> {
                 unreachable!("path descends only through non-terminals")
             };
             let option = options[level];
-            let sig = &self.nt_sigs[nt.0][option];
+            let sig = &self.sigs.options(nt)[option];
             let opt = &self.machine.nonterminals[nt.0].options[option];
             let enc_w = self.machine.param_encoding_width(opt.params[arg].ty);
             let inner = positions_in(sig, arg, enc_w);

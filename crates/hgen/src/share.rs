@@ -26,6 +26,7 @@
 
 use isdl::model::{CExpr, Constraint, Machine, OpRef};
 use isdl::rtl::StorageId;
+use std::collections::HashMap;
 use vlog::ast::VBinOp;
 
 /// The task class of a shareable node (rule 2).
@@ -126,49 +127,100 @@ pub fn plan(machine: &Machine, nodes: &[ShareNode], opts: ShareOptions) -> Share
     }
     let matrix = compatibility_matrix(machine, nodes, opts);
     let cliques = maximal_cliques(&matrix);
-    SharePlan { groups: clique_cover(nodes.len(), cliques, &matrix) }
+    SharePlan { groups: clique_cover(nodes.len(), &cliques) }
+}
+
+/// Node sets as bitsets: bit `v % 64` of word `v / 64` is node `v`.
+fn has(set: &[u64], v: usize) -> bool {
+    (set[v / 64] >> (v % 64)) & 1 == 1
+}
+
+fn insert(set: &mut [u64], v: usize) {
+    set[v / 64] |= 1 << (v % 64);
+}
+
+fn remove(set: &mut [u64], v: usize) {
+    set[v / 64] &= !(1 << (v % 64));
+}
+
+/// `|a ∩ b|`.
+fn common(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
+}
+
+/// The members of `set`, ascending.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(k, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                k * 64 + b
+            })
+        })
+    })
+}
+
+/// The compatibility matrix `A`, one bitset row per node.
+struct Matrix {
+    /// Nodes.
+    n: usize,
+    /// Words per row.
+    words: usize,
+    /// Row `i` is `rows[i * words..][..words]`.
+    rows: Vec<u64>,
+}
+
+impl Matrix {
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.words..][..self.words]
+    }
 }
 
 /// Builds the `n × n` compatibility matrix.
-#[must_use]
-pub fn compatibility_matrix(
-    machine: &Machine,
-    nodes: &[ShareNode],
-    opts: ShareOptions,
-) -> Vec<Vec<bool>> {
+fn compatibility_matrix(machine: &Machine, nodes: &[ShareNode], opts: ShareOptions) -> Matrix {
     let n = nodes.len();
-    let mut m = vec![vec![false; n]; n];
+    let words = n.div_ceil(64);
+    let mut m = Matrix { n, words, rows: vec![0; n * words] };
+    // Cross-field exclusivity depends on the two operations alone.
+    let mut exclusive: HashMap<(OpRef, OpRef), bool> = HashMap::new();
     for i in 0..n {
         for j in (i + 1)..n {
-            let ok = compatible(machine, &nodes[i], &nodes[j], opts);
-            m[i][j] = ok;
-            m[j][i] = ok;
+            if compatible(machine, &nodes[i], &nodes[j], opts, &mut exclusive) {
+                insert(&mut m.rows[i * words..][..words], j);
+                insert(&mut m.rows[j * words..][..words], i);
+            }
         }
     }
     m
 }
 
-fn compatible(machine: &Machine, a: &ShareNode, b: &ShareNode, opts: ShareOptions) -> bool {
+fn compatible(
+    machine: &Machine,
+    a: &ShareNode,
+    b: &ShareNode,
+    opts: ShareOptions,
+    exclusive: &mut HashMap<(OpRef, OpRef), bool>,
+) -> bool {
     // Rule 2: same task class and width.
     if a.class != b.class || a.width != b.width {
         return false;
     }
-    if a.owner.op == b.owner.op {
+    let (x, y) = (a.owner.op, b.owner.op);
+    if x == y {
         // Rule 1 (+ non-terminal refinement).
         return a.owner.exclusive_within_op(&b.owner);
     }
     // Rule 3: same field.
-    if a.owner.op.field == b.owner.op.field {
+    if x.field == y.field {
         return true;
     }
     // Rule 4: different fields — only with proof of exclusivity.
-    if opts.use_hints && hinted_together(machine, a.owner.op, b.owner.op) {
-        return true;
-    }
-    if opts.use_constraints && constraints_exclude(machine, a.owner.op, b.owner.op) {
-        return true;
-    }
-    false
+    *exclusive.entry((x.min(y), x.max(y))).or_insert_with(|| {
+        (opts.use_hints && hinted_together(machine, x, y))
+            || (opts.use_constraints && constraints_exclude(machine, x, y))
+    })
 }
 
 /// Whether an `archinfo` share hint names both operations.
@@ -254,82 +306,152 @@ fn any_valid_selection(
     false
 }
 
-/// Enumerates all maximal cliques with Bron–Kerbosch (pivoting on the
-/// highest-degree vertex of `P ∪ X`).
-#[must_use]
-pub fn maximal_cliques(matrix: &[Vec<bool>]) -> Vec<Vec<usize>> {
-    let n = matrix.len();
-    let mut cliques = Vec::new();
-    let mut r = Vec::new();
-    let p: Vec<usize> = (0..n).collect();
-    let x = Vec::new();
-    bron_kerbosch(matrix, &mut r, p, x, &mut cliques);
-    cliques
+/// Maximal cliques, flattened: clique `c` holds the nodes
+/// `members[ends[c - 1]..ends[c]]` in the order Bron–Kerbosch added them
+/// (the order `emit_unit` nests a unit's input muxes in).
+struct Cliques {
+    members: Vec<u32>,
+    ends: Vec<usize>,
 }
 
-fn bron_kerbosch(
-    m: &[Vec<bool>],
-    r: &mut Vec<usize>,
-    p: Vec<usize>,
-    mut x: Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if p.is_empty() && x.is_empty() {
-        out.push(r.clone());
-        return;
+impl Cliques {
+    fn len(&self) -> usize {
+        self.ends.len()
     }
-    // Pivot: vertex of P ∪ X with most neighbours in P.
-    let pivot = p
-        .iter()
-        .chain(&x)
-        .copied()
-        .max_by_key(|&u| p.iter().filter(|&&v| m[u][v]).count())
-        .expect("P or X non-empty");
-    let candidates: Vec<usize> = p.iter().copied().filter(|&v| !m[pivot][v]).collect();
-    let mut p = p;
-    for v in candidates {
-        let p2: Vec<usize> = p.iter().copied().filter(|&u| m[v][u]).collect();
-        let x2: Vec<usize> = x.iter().copied().filter(|&u| m[v][u]).collect();
-        r.push(v);
-        bron_kerbosch(m, r, p2, x2, out);
-        r.pop();
-        p.retain(|&u| u != v);
-        x.push(v);
+
+    fn members(&self, c: usize) -> &[u32] {
+        let start = if c == 0 { 0 } else { self.ends[c - 1] };
+        &self.members[start..self.ends[c]]
+    }
+}
+
+/// Enumerates all maximal cliques with Bron–Kerbosch (pivoting on the
+/// vertex of `P ∪ X` with most neighbours in `P`, the last such in the
+/// order `P` ascending, then `X` in insertion order).
+fn maximal_cliques(matrix: &Matrix) -> Cliques {
+    let mut all = vec![0u64; matrix.words];
+    for v in 0..matrix.n {
+        insert(&mut all, v);
+    }
+    let mut search = CliqueSearch {
+        m: matrix,
+        r: Vec::new(),
+        sets: all,
+        xs: Vec::new(),
+        out: Cliques { members: Vec::new(), ends: Vec::new() },
+    };
+    search.expand(0, 0);
+    search.out
+}
+
+/// Bron–Kerbosch state. Each recursion level's `P` and candidate set
+/// live on the `sets` stack and its `X` on the `xs` stack, so the search
+/// allocates nothing per call.
+struct CliqueSearch<'a> {
+    m: &'a Matrix,
+    /// The clique being grown, in push order.
+    r: Vec<u32>,
+    sets: Vec<u64>,
+    xs: Vec<u32>,
+    out: Cliques,
+}
+
+impl CliqueSearch<'_> {
+    /// Expands `R` with `P = sets[p..][..words]` and `X = xs[x..]`.
+    fn expand(&mut self, p: usize, x: usize) {
+        let (m, words) = (self.m, self.m.words);
+        let p_set = &self.sets[p..][..words];
+        if self.xs.len() == x && p_set.iter().all(|&w| w == 0) {
+            self.out.members.extend_from_slice(&self.r);
+            self.out.ends.push(self.out.members.len());
+            return;
+        }
+        let mut pivot = (0, usize::MAX);
+        for u in members(p_set).chain(self.xs[x..].iter().map(|&u| u as usize)) {
+            let count = common(m.row(u), p_set);
+            if pivot.1 == usize::MAX || count >= pivot.0 {
+                pivot = (count, u);
+            }
+        }
+        // The candidates `P \ N(pivot)` sit on the stack above `P`.
+        let candidates = self.sets.len();
+        for (k, n) in m.row(pivot.1).iter().enumerate() {
+            self.sets.push(self.sets[p + k] & !n);
+        }
+        for k in 0..words {
+            let mut bits = self.sets[candidates + k];
+            while bits != 0 {
+                let v = k * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let row = m.row(v);
+                let child_p = self.sets.len();
+                for (i, n) in row.iter().enumerate() {
+                    self.sets.push(self.sets[p + i] & n);
+                }
+                let x_end = self.xs.len();
+                for i in x..x_end {
+                    let u = self.xs[i];
+                    if has(row, u as usize) {
+                        self.xs.push(u);
+                    }
+                }
+                self.r.push(v as u32);
+                self.expand(child_p, x_end);
+                self.r.pop();
+                self.sets.truncate(child_p);
+                self.xs.truncate(x_end);
+                remove(&mut self.sets[p..][..words], v);
+                self.xs.push(v as u32);
+            }
+        }
+        self.sets.truncate(candidates);
     }
 }
 
 /// Greedy clique cover: repeatedly take the largest clique restricted
-/// to still-uncovered nodes.
-fn clique_cover(n: usize, cliques: Vec<Vec<usize>>, matrix: &[Vec<bool>]) -> Vec<Vec<usize>> {
+/// to still-uncovered nodes (the last one on a tie), in its own member
+/// order. Each clique keeps a count of its uncovered nodes, lowered
+/// through a node-to-clique index as nodes get covered.
+fn clique_cover(n: usize, cliques: &Cliques) -> Vec<Vec<usize>> {
+    // `containing[starts[v]..starts[v + 1]]`: the cliques holding node `v`.
+    let mut starts = vec![0u32; n + 1];
+    for &v in &cliques.members {
+        starts[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut containing = vec![0u32; cliques.members.len()];
+    let mut next = starts.clone();
+    let mut uncovered: Vec<u32> = Vec::with_capacity(cliques.len());
+    for c in 0..cliques.len() {
+        let members = cliques.members(c);
+        for &v in members {
+            containing[next[v as usize] as usize] = c as u32;
+            next[v as usize] += 1;
+        }
+        uncovered.push(members.len() as u32);
+    }
     let mut covered = vec![false; n];
     let mut groups = Vec::new();
-    let remaining = cliques;
     loop {
-        // Restrict cliques to uncovered nodes; keep them cliques (a
-        // subset of a clique is a clique).
-        let best = remaining
-            .iter()
-            .map(|c| c.iter().copied().filter(|&v| !covered[v]).collect::<Vec<_>>())
-            .max_by_key(Vec::len)
-            .unwrap_or_default();
-        if best.is_empty() {
+        let most = uncovered.iter().copied().max().unwrap_or(0);
+        if most == 0 {
             break;
         }
-        for &v in &best {
+        let best = uncovered.iter().rposition(|&count| count == most).expect("a maximum");
+        let group: Vec<usize> =
+            cliques.members(best).iter().map(|&v| v as usize).filter(|&v| !covered[v]).collect();
+        for &v in &group {
             covered[v] = true;
+            for &c in &containing[starts[v] as usize..starts[v + 1] as usize] {
+                uncovered[c as usize] -= 1;
+            }
         }
-        groups.push(best);
-        if covered.iter().all(|&c| c) {
-            break;
-        }
+        groups.push(group);
     }
     // Any isolated leftovers (no cliques at all for them).
-    for (v, &c) in covered.iter().enumerate() {
-        if !c {
-            groups.push(vec![v]);
-        }
-    }
-    let _ = matrix;
+    groups.extend((0..n).filter(|&v| !covered[v]).map(|v| vec![v]));
     groups
 }
 
@@ -446,20 +568,21 @@ mod tests {
     #[test]
     fn bron_kerbosch_finds_triangle_and_edge() {
         // Graph: 0-1, 1-2, 0-2 (triangle), 3-4 (edge), 5 isolated.
-        let n = 6;
-        let mut m = vec![vec![false; n]; n];
+        let mut m = Matrix { n: 6, words: 1, rows: vec![0; 6] };
         for &(a, b) in &[(0, 1), (1, 2), (0, 2), (3, 4)] {
-            m[a][b] = true;
-            m[b][a] = true;
+            insert(&mut m.rows[a..=a], b);
+            insert(&mut m.rows[b..=b], a);
         }
-        let mut cliques = maximal_cliques(&m);
-        for c in &mut cliques {
-            c.sort_unstable();
-        }
+        let found = maximal_cliques(&m);
+        let mut cliques: Vec<Vec<u32>> = (0..found.len())
+            .map(|c| {
+                let mut members = found.members(c).to_vec();
+                members.sort_unstable();
+                members
+            })
+            .collect();
         cliques.sort();
-        assert!(cliques.contains(&vec![0, 1, 2]));
-        assert!(cliques.contains(&vec![3, 4]));
-        assert!(cliques.contains(&vec![5]));
+        assert_eq!(cliques, vec![vec![0, 1, 2], vec![3, 4], vec![5]]);
     }
 
     #[test]

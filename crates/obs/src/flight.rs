@@ -6,7 +6,10 @@
 //! a drop is counted. Rings are registered in a process-wide shard
 //! list so a crash handler on *any* thread can collect the tails of
 //! *all* threads into one `flight-dump/1` document and explain what
-//! each worker was doing when the run died.
+//! each worker was doing when the run died. A thread that exits hands
+//! its ring to the next thread that starts recording, so the shard list
+//! grows only to the peak number of threads recording at once, however
+//! many short-lived workers come and go.
 //!
 //! Cost model: [`note`] is meant for *coarse* breadcrumbs — pipeline
 //! stage entries, retries, journal rounds — a handful per evaluation,
@@ -44,29 +47,51 @@ static DUMPS: AtomicU64 = AtomicU64::new(0);
 static DUMP_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
 
 /// All thread shards, in registration order. A shard outlives its
-/// thread — a dump taken after a worker died still shows its tail.
+/// thread — a dump taken after a worker died still shows its tail,
+/// until another thread reuses the ring.
 static SHARDS: Mutex<Vec<(u64, Arc<Mutex<RingSink>>)>> = Mutex::new(Vec::new());
+/// Shards whose thread has exited, free for the next thread to record.
+static FREE: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
 }
 
+/// A thread's hold on one shard; gives the shard back to [`FREE`] when
+/// the thread exits.
+struct Claim {
+    id: u64,
+    ring: Arc<Mutex<RingSink>>,
+}
+
+impl Drop for Claim {
+    fn drop(&mut self) {
+        // Runs at thread exit, so it must not panic: a poisoned free
+        // list only keeps this shard from being reused.
+        if let Ok(mut free) = FREE.lock() {
+            free.push(self.id);
+        }
+    }
+}
+
 thread_local! {
-    static SHARD: std::cell::OnceCell<(u64, Arc<Mutex<RingSink>>)> =
-        const { std::cell::OnceCell::new() };
+    static SHARD: std::cell::OnceCell<Claim> = const { std::cell::OnceCell::new() };
 }
 
 fn with_shard<R>(f: impl FnOnce(u64, &Mutex<RingSink>) -> R) -> R {
     SHARD.with(|cell| {
-        let (id, ring) = cell.get_or_init(|| {
-            let ring = Arc::new(Mutex::new(RingSink::new(DEFAULT_CAPACITY)));
+        let claim = cell.get_or_init(|| {
             let mut shards = SHARDS.lock().expect("flight shard list lock");
+            if let Some(id) = FREE.lock().expect("flight free list lock").pop() {
+                return Claim { id, ring: Arc::clone(&shards[id as usize].1) };
+            }
+            let ring = Arc::new(Mutex::new(RingSink::new(DEFAULT_CAPACITY)));
             let id = shards.len() as u64;
             shards.push((id, Arc::clone(&ring)));
-            (id, ring)
+            Claim { id, ring }
         });
-        f(*id, ring)
+        f(claim.id, &claim.ring)
     })
 }
 
@@ -225,6 +250,26 @@ mod tests {
             "dead thread's tail kept"
         );
         assert_eq!(dump_count(), before, "dump() alone does not count");
+    }
+
+    #[test]
+    fn exited_threads_hand_their_rings_to_new_threads() {
+        let _guard = test_guard();
+        let shards = || SHARDS.lock().expect("flight shard list lock").len();
+        let before = shards();
+        for i in 0..32u64 {
+            std::thread::spawn(move || note("test.flight.reuse", "once", Json::obj().with("i", i)))
+                .join()
+                .expect("worker runs");
+        }
+        assert!(shards() <= before + 1, "{} shards for 32 threads in turn", shards() - before);
+        let doc = dump("unit_test");
+        let events = doc.get("events").and_then(Json::as_arr).expect("events");
+        assert!(
+            events.iter().any(|e| e.get_str("target") == Some("test.flight.reuse")
+                && e.get("fields").and_then(|f| f.get_u64("i")) == Some(31)),
+            "the last thread's event is in the dump"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use crate::error::AsmError;
 use bitv::BitVector;
 use isdl::model::{FieldId, Machine, NtId, OpRef, Operation, ParamType, TokenKind};
-use isdl::signature::Signature;
+use isdl::signature::SignatureTable;
 use std::collections::HashMap;
 
 /// An assembled program image.
@@ -38,8 +38,7 @@ pub struct Program {
 #[derive(Debug)]
 pub struct Assembler<'m> {
     machine: &'m Machine,
-    field_sigs: Vec<Vec<Signature>>,
-    nt_sigs: Vec<Vec<Signature>>,
+    sigs: SignatureTable,
 }
 
 /// A parsed operand.
@@ -83,32 +82,7 @@ impl<'m> Assembler<'m> {
     /// from [`isdl::load`] never are.
     #[must_use]
     pub fn new(machine: &'m Machine) -> Self {
-        let field_sigs = machine
-            .fields
-            .iter()
-            .map(|f| {
-                f.ops
-                    .iter()
-                    .map(|o| {
-                        Signature::from_encoding(&o.encode, o.costs.size * machine.word_width)
-                            .expect("validated machine")
-                    })
-                    .collect()
-            })
-            .collect();
-        let nt_sigs = machine
-            .nonterminals
-            .iter()
-            .map(|nt| {
-                nt.options
-                    .iter()
-                    .map(|o| {
-                        Signature::from_encoding(&o.encode, nt.width).expect("validated machine")
-                    })
-                    .collect()
-            })
-            .collect();
-        Self { machine, field_sigs, nt_sigs }
+        Self { machine, sigs: SignatureTable::new(machine).expect("validated machine") }
     }
 
     /// Assembles source text into a [`Program`].
@@ -223,13 +197,9 @@ impl<'m> Assembler<'m> {
                     for (r, args) in slots {
                         let op = self.machine.op(*r);
                         let params = self.bind_args(op, args, &labels, *line)?;
-                        let sig = &self.field_sigs[r.field.0][r.op];
-                        // The signature spans the op's own size; apply on
-                        // a matching prefix then merge.
-                        let own_w = sig.width();
-                        let prefix = wide.trunc(own_w);
-                        let applied = sig.apply(&prefix, &params);
-                        wide = wide.with_slice(own_w - 1, 0, &applied);
+                        // The signature spans the op's own size, the low
+                        // bits of the instruction; `apply` leaves the rest.
+                        wide = self.sigs.op(*r).apply(&wide, &params);
                     }
                     for k in 0..*size {
                         let word = wide.slice(k * w + w - 1, k * w);
@@ -426,7 +396,7 @@ impl<'m> Assembler<'m> {
         })?;
         let option = &nt.options[oi];
         let params = self.bind_args(option, args, labels, line)?;
-        let sig = &self.nt_sigs[n.0][oi];
+        let sig = &self.sigs.options(n)[oi];
         Ok(sig.apply(&BitVector::zero(nt.width), &params))
     }
 

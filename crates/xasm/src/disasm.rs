@@ -20,8 +20,8 @@
 
 use crate::error::DisasmError;
 use bitv::BitVector;
-use isdl::model::{Machine, NtId, OpRef, Operation, ParamType, TokenKind};
-use isdl::signature::Signature;
+use isdl::model::{FieldId, Machine, NtId, OpRef, Operation, ParamType, TokenKind};
+use isdl::signature::{Signature, SignatureTable};
 use std::fmt::Write as _;
 
 /// A decoded operand value.
@@ -77,11 +77,7 @@ impl DecodedInstr {
 #[derive(Debug)]
 pub struct Disassembler<'m> {
     machine: &'m Machine,
-    /// `field_sigs[f][o]` = signature of op `o` of field `f`, over that
-    /// op's own `size * word_width` bits.
-    field_sigs: Vec<Vec<Signature>>,
-    /// `nt_sigs[n][o]` = signature of option `o` of non-terminal `n`.
-    nt_sigs: Vec<Vec<Signature>>,
+    sigs: SignatureTable,
     max_size: u32,
 }
 
@@ -110,32 +106,9 @@ impl<'m> Disassembler<'m> {
     /// [`DisasmError::InconsistentEncoding`] naming the operation or
     /// option whose signature could not be derived.
     pub fn try_new(machine: &'m Machine) -> Result<Self, DisasmError> {
-        let mut field_sigs = Vec::with_capacity(machine.fields.len());
-        for f in &machine.fields {
-            let mut sigs = Vec::with_capacity(f.ops.len());
-            for o in &f.ops {
-                let sig = Signature::from_encoding(&o.encode, o.costs.size * machine.word_width)
-                    .map_err(|e| DisasmError::InconsistentEncoding {
-                        context: format!("{}.{}: {e}", f.name, o.name),
-                    })?;
-                sigs.push(sig);
-            }
-            field_sigs.push(sigs);
-        }
-        let mut nt_sigs = Vec::with_capacity(machine.nonterminals.len());
-        for nt in &machine.nonterminals {
-            let mut sigs = Vec::with_capacity(nt.options.len());
-            for o in &nt.options {
-                let sig = Signature::from_encoding(&o.encode, nt.width).map_err(|e| {
-                    DisasmError::InconsistentEncoding {
-                        context: format!("{}.{}: {e}", nt.name, o.name),
-                    }
-                })?;
-                sigs.push(sig);
-            }
-            nt_sigs.push(sigs);
-        }
-        Ok(Self { machine, field_sigs, nt_sigs, max_size: machine.max_op_size() })
+        let sigs = SignatureTable::new(machine)
+            .map_err(|e| DisasmError::InconsistentEncoding { context: e.to_string() })?;
+        Ok(Self { machine, sigs, max_size: machine.max_op_size() })
     }
 
     /// The machine this disassembler was generated from.
@@ -158,7 +131,7 @@ impl<'m> Disassembler<'m> {
     /// Panics if `r` is out of range.
     #[must_use]
     pub fn signature(&self, r: OpRef) -> &Signature {
-        &self.field_sigs[r.field.0][r.op]
+        self.sigs.op(r)
     }
 
     /// Decodes one instruction starting at `words[0]`. `addr` is used
@@ -178,26 +151,19 @@ impl<'m> Disassembler<'m> {
         let mut wide = BitVector::zero(wide_width);
         for (k, word) in words.iter().take(self.max_size as usize).enumerate() {
             let k = k as u32;
-            wide = wide.with_slice(k * w + w - 1, k * w, &word.trunc(w).zext(w));
+            wide = wide.with_slice(k * w + w - 1, k * w, &word.trunc(w));
         }
         let mut ops = Vec::with_capacity(self.machine.fields.len());
         let mut size = 1;
         for (fi, field) in self.machine.fields.iter().enumerate() {
-            let mut matched = None;
-            for (oi, sig) in self.field_sigs[fi].iter().enumerate() {
-                if sig.matches(&wide) {
-                    matched = Some(oi);
-                    break;
-                }
-            }
-            let Some(oi) = matched else {
+            let sigs = self.sigs.field(FieldId(fi));
+            let Some(oi) = sigs.iter().position(|sig| sig.matches(&wide)) else {
                 return Err(DisasmError::IllegalInstruction { field: field.name.clone(), addr });
             };
             let op = &field.ops[oi];
             size = size.max(op.costs.size);
-            let sig = &self.field_sigs[fi][oi];
-            let args = self.decode_args(op, sig, &wide, addr)?;
-            ops.push(DecodedOp { op: OpRef { field: isdl::model::FieldId(fi), op: oi }, args });
+            let args = self.decode_args(op, &sigs[oi], &wide, addr)?;
+            ops.push(DecodedOp { op: OpRef { field: FieldId(fi), op: oi }, args });
         }
         if size as usize > words.len() {
             return Err(DisasmError::Truncated { addr });
@@ -226,7 +192,7 @@ impl<'m> Disassembler<'m> {
 
     fn decode_nt(&self, nt_id: NtId, sub: &BitVector, addr: u64) -> Result<Operand, DisasmError> {
         let nt = &self.machine.nonterminals[nt_id.0];
-        for (oi, sig) in self.nt_sigs[nt_id.0].iter().enumerate() {
+        for (oi, sig) in self.sigs.options(nt_id).iter().enumerate() {
             if sig.matches(sub) {
                 let option = &nt.options[oi];
                 let args = self.decode_args(option, sig, sub, addr)?;
