@@ -115,11 +115,11 @@ pub struct EvalOptions<'a> {
 
 /// Optional post-synthesis netlist cross-check: re-run every kernel on
 /// the HGEN-generated netlist and require bit-identical architectural
-/// state against the ILS — the hw_equivalence invariant, applied to
-/// every candidate an exploration evaluates instead of only the fixed
-/// test corpus. Off by default because it multiplies evaluation cost
-/// by the hardware/ILS cycle ratio; see `docs/SIMULATORS.md` for which
-/// backend to pick when turning it on.
+/// state against the ILS ([`check_netlist`]) — the hw_equivalence
+/// invariant, applied to every candidate an exploration evaluates
+/// instead of only the fixed test corpus. Off by default because it
+/// multiplies evaluation cost by the hardware/ILS cycle ratio; see
+/// `docs/SIMULATORS.md` for which backend to pick when turning it on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NetlistCheck {
     /// No cross-check (the production default).
@@ -128,6 +128,58 @@ pub enum NetlistCheck {
     /// Cross-check with the given netlist backend; a mismatch fails
     /// the candidate with [`EvalError::NetlistMismatch`].
     Run(vlog::SimBackend),
+}
+
+/// The ILS-versus-netlist check: loads `program` into `hw`, an
+/// elaborated netlist of `machine`'s generated hardware, clocks it, and
+/// compares every storage but the program counter and the instruction
+/// memory, cell by cell, against `xsim`, the ILS after running the same
+/// program to its halt. Data the program does not carry in its `.data`
+/// image (a seeded data memory, say) is poked into both models before
+/// the call.
+///
+/// The netlist gets `4 × cycles + 16` rising clock edges, `cycles`
+/// being the ILS's count. The margin is for the hardware's extra stall
+/// cycles: its scoreboard stalls writers as well as readers and loads
+/// each storage's worst latency, so the generated hardware needs up to
+/// 1.57× XSIM's count on SPAM's compiled kernels. Running past the end
+/// is harmless only if the end is state-neutral: the generated hardware
+/// ignores `halt`, so programs end in a self-loop (`end: jmp end`).
+/// After a `halt` the netlist would run on through the zero (`nop`)
+/// words of its instruction memory and, when that memory is no deeper
+/// than the budget, wrap back into the program.
+///
+/// # Errors
+///
+/// The first differing cell, in declaration order, as
+/// `"{storage}[{cell}]: ILS {value}, netlist ({backend}) {value}"`, or
+/// the netlist's own error (a memory or net the program needs is
+/// missing, a combinational loop does not converge).
+pub fn check_netlist(
+    machine: &Machine,
+    hw: &mut vlog::AnySim,
+    program: &xasm::Program,
+    xsim: &Xsim<'_>,
+) -> Result<(), String> {
+    hgen::load_program(machine, hw, program).map_err(|e| e.to_string())?;
+    hw.clock(4 * xsim.stats().cycles + 16).map_err(|e| e.to_string())?;
+    let backend = hw.backend();
+    for (i, s) in machine.storages.iter().enumerate() {
+        use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
+        if matches!(s.kind, ProgramCounter | InstructionMemory) {
+            continue;
+        }
+        for a in 0..s.cells() {
+            let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
+            let peeked =
+                if s.kind.is_addressed() { hw.peek_memory(&s.name, a) } else { hw.peek(&s.name) };
+            let hard = peeked.map_err(|e| e.to_string())?;
+            if *soft != hard {
+                return Err(format!("{}[{a}]: ILS {soft}, netlist ({backend}) {hard}", s.name));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The merged measurements for one candidate. Every field is
@@ -216,12 +268,6 @@ pub struct Evaluation {
     /// or `Json::Null` when the check was [`NetlistCheck::Off`].
     /// Observational, like `profile`.
     pub netlist_stats: obs::Json,
-    /// The RTL middle-end's `opt` block (schedule, per-pass
-    /// sub-blocks, and counters — the `opt` object of `xsim-stats/1`)
-    /// from the first kernel's simulator. The pipeline runs once per
-    /// (operation, phase), so every kernel of a candidate reports the
-    /// same block. Observational, like `profile`.
-    pub opt: obs::Json,
 }
 
 /// Why a candidate failed evaluation.
@@ -505,7 +551,6 @@ pub fn evaluate_with(
     let mut total = Stats::default();
     let mut kernel_stats = Vec::new();
     let mut kernel_profiles = Vec::new();
-    let mut opt_block = obs::Json::Null;
     let mut check_runs: Vec<(xasm::Program, Xsim<'_>)> = Vec::new();
     for kernel in kernels {
         enter_stage(Stage::Compile, opts, &kernel.name)?;
@@ -560,9 +605,6 @@ pub fn evaluate_with(
         if profile {
             kernel_profiles.push((kernel.name.clone(), gensim::profile_json(&sim)));
         }
-        if matches!(opt_block, obs::Json::Null) {
-            opt_block = gensim::stats_json(&sim).get("opt").cloned().unwrap_or(obs::Json::Null);
-        }
         kernel_stats.push(KernelRun {
             name: kernel.name.clone(),
             op_counts: sim.op_counts(),
@@ -602,12 +644,11 @@ pub fn evaluate_with(
         kernel_stats,
         profile: if profile { profile_summary(&kernel_profiles) } else { obs::Json::Null },
         netlist_stats,
-        opt: opt_block,
     })
 }
 
-/// Replays one halted kernel on the HGEN netlist with the chosen
-/// backend and compares every data-carrying storage against the ILS.
+/// Checks one halted kernel on a fresh netlist of the chosen backend
+/// with [`check_netlist`], logging a mismatch with a flight dump.
 /// Returns the netlist simulator's `vlog-stats/1` block on success.
 fn netlist_cross_check(
     machine: &Machine,
@@ -633,30 +674,7 @@ fn netlist_cross_check(
         EvalError::NetlistMismatch { kernel: kernel.to_owned(), message }
     };
     let mut sim = hw.simulator(backend).map_err(|e| fail(e.to_string()))?;
-    hgen::load_program(machine, &mut sim, program).map_err(|e| fail(e.to_string()))?;
-    // The hardware stalls at most as many extra cycles as the ILS
-    // charged, and compiled kernels end in a state-neutral self-loop.
-    sim.clock(4 * xsim.stats().cycles + 16).map_err(|e| fail(e.to_string()))?;
-    for (i, s) in machine.storages.iter().enumerate() {
-        use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
-        if matches!(s.kind, ProgramCounter | InstructionMemory) {
-            continue;
-        }
-        for a in 0..s.cells() {
-            let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
-            let hard = if s.kind.is_addressed() {
-                sim.peek_memory(&s.name, a).map_err(|e| fail(e.to_string()))?
-            } else {
-                sim.peek(&s.name).map_err(|e| fail(e.to_string()))?
-            };
-            if *soft != hard {
-                return Err(fail(format!(
-                    "{}[{a}]: ILS {soft}, netlist ({backend}) {hard}",
-                    s.name
-                )));
-            }
-        }
-    }
+    check_netlist(machine, &mut sim, program, xsim).map_err(fail)?;
     Ok(vlog::stats_json(&sim))
 }
 

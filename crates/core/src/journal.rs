@@ -211,7 +211,6 @@ fn evaluation_to_json(ev: &Evaluation) -> Json {
         .with("metrics", ev.metrics.to_json())
         .with("kernels", ev.kernel_stats.iter().map(kernel_run_to_json).collect::<Json>())
         .with("profile", ev.profile.clone())
-        .with("opt", ev.opt.clone())
 }
 
 /// Cache entries committed during one journaled unit of work:
@@ -525,12 +524,11 @@ fn evaluation_from_json(j: &Json) -> Result<Evaluation, String> {
         .iter()
         .map(kernel_run_from_json)
         .collect::<Result<Vec<KernelRun>, String>>()?;
-    // `profile` and `opt` are optional: journals written before the
-    // profiler (or the pass manager) existed simply resume without
-    // those observational blocks.
+    // `profile` is optional: journals written before the profiler
+    // existed resume without it. Keys not read here, such as the `opt`
+    // block older writers recorded, are ignored.
     let profile = j.get("profile").cloned().unwrap_or(Json::Null);
-    let opt = j.get("opt").cloned().unwrap_or(Json::Null);
-    Ok(Evaluation { metrics, kernel_stats, profile, netlist_stats: Json::Null, opt })
+    Ok(Evaluation { metrics, kernel_stats, profile, netlist_stats: Json::Null })
 }
 
 fn entries_from_json(j: &Json) -> Result<JournalEntries, String> {

@@ -48,8 +48,8 @@ pub mod workloads;
 
 pub use compiler::{compile, AOp, Capabilities, CompileError, Compiled, Kernel, VReg};
 pub use eval::{
-    evaluate, evaluate_contained, evaluate_with, BudgetKind, EvalError, EvalOptions, Evaluation,
-    Metrics, NetlistCheck, SimBudget, Stage,
+    check_netlist, evaluate, evaluate_contained, evaluate_with, BudgetKind, EvalError, EvalOptions,
+    Evaluation, Metrics, NetlistCheck, SimBudget, Stage,
 };
 pub use explore::{
     apply_mutation, chrome_trace, EvalCache, ExploreObs, Explorer, FrontierRound, Mutation,

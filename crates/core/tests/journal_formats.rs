@@ -8,8 +8,11 @@
 use archex::{compact, workloads, EvalCache, Explorer, JournalError, Strategy};
 
 /// The explorer configuration the `toy_v2.jsonl` fixture was written
-/// with (TOY machine, `dot_product(3)`, 6 steps, 2 threads): it holds
-/// exactly what [`journaled_run`] of this explorer wrote.
+/// with (TOY machine, `dot_product(3)`, 6 steps, 2 threads). It holds
+/// what [`journaled_run`] of this explorer wrote when evaluation
+/// records still carried an `opt` block (the RTL middle-end's stats),
+/// which the current writer no longer emits; replaying it proves that
+/// journals carrying that block still resume.
 fn fixture_explorer() -> Explorer {
     Explorer { max_steps: 6, threads: 2, ..Explorer::default() }
 }

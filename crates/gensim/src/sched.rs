@@ -40,7 +40,6 @@ use isdl::model::{Machine, NtId, OpRef};
 use isdl::rtl::StorageId;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::io::Write;
 use std::rc::Rc;
 use xasm::{DecodedInstr, Disassembler, Operand, Program};
 
@@ -460,7 +459,6 @@ pub struct Xsim<'m> {
     /// fell back to tree interpretation.
     wide_fallbacks: u64,
     breakpoints: HashSet<u64>,
-    trace: Option<Box<dyn Write + Send>>,
     events: Option<EventTrace>,
     /// Streaming event sink (never drops); fed alongside the ring.
     event_sink: Option<Box<dyn obs::TraceSink>>,
@@ -529,7 +527,6 @@ impl<'m> Xsim<'m> {
             opt_stats: isdl::opt::OptStats::default(),
             wide_fallbacks: 0,
             breakpoints: HashSet::new(),
-            trace: None,
             events: None,
             event_sink: None,
             profile: None,
@@ -670,17 +667,6 @@ impl<'m> Xsim<'m> {
     /// Removes a breakpoint. Returns whether it existed.
     pub fn remove_breakpoint(&mut self, addr: u64) -> bool {
         self.breakpoints.remove(&addr)
-    }
-
-    /// Streams executed instruction addresses to `sink` (the paper's
-    /// execution address trace, §3.1).
-    pub fn set_trace(&mut self, sink: Box<dyn Write + Send>) {
-        self.trace = Some(sink);
-    }
-
-    /// Stops tracing and returns the sink.
-    pub fn take_trace(&mut self) -> Option<Box<dyn Write + Send>> {
-        self.trace.take()
     }
 
     /// Starts recording a bounded event trace: every executed
@@ -1117,9 +1103,6 @@ impl<'m> Xsim<'m> {
         if let Some(p) = &mut self.profile {
             p.record(pc, entry.stall, entry.cycle_cost);
         }
-        if let Some(tr) = &mut self.trace {
-            let _ = writeln!(tr, "{pc:#x}");
-        }
 
         // 6. Advance time.
         self.stats.cycles += u64::from(entry.cycle_cost);
@@ -1483,29 +1466,14 @@ E: jmp E
 
     #[test]
     fn trace_records_addresses() {
-        use std::sync::{Arc, Mutex};
-
-        #[derive(Clone, Default)]
-        struct SharedSink(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedSink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().expect("sink lock").extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
         let m = acc16();
         let p = Assembler::new(&m).assemble("ldi 1\nldi 2\nhalt\n").expect("assembles");
         let mut sim = Xsim::generate(&m).expect("generates");
         sim.load_program(&p);
-        let sink = SharedSink::default();
-        sim.set_trace(Box::new(sink.clone()));
+        sim.enable_event_trace(16);
         assert_eq!(sim.run(100), StopReason::Halted);
-        let text = String::from_utf8(sink.0.lock().expect("sink lock").clone()).expect("utf8");
-        assert_eq!(text, "0x0\n0x1\n0x2\n");
+        let pcs: Vec<u64> = sim.event_trace().expect("enabled").events().map(|e| e.pc).collect();
+        assert_eq!(pcs, [0, 1, 2]);
     }
 
     #[test]

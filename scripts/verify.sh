@@ -4,7 +4,8 @@
 # shim under vendor/ (see DESIGN.md).
 #
 # Usage:
-#   scripts/verify.sh          # tier-1: fmt + clippy + build + tests
+#   scripts/verify.sh          # tier-1: fmt + clippy + build + tests,
+#                              # and a type check of perfbench
 #   scripts/verify.sh --slow   # additionally the property suites and
 #                              # the perfbench tests
 #   scripts/verify.sh --doc    # only the rustdoc pass (warnings fatal)
@@ -25,6 +26,11 @@ fi
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo build --release
+# perfbench is a workspace of its own that compiles against the suite's
+# public API; checking it here makes an API change that breaks the
+# benchmark fail tier-1. --locked fails if a crate change would rewrite
+# perfbench/Cargo.lock.
+run cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 # `default-members` makes this run every workspace crate's tests: the
 # robustness, differential, observability and documentation gates
 # (docs/ROBUSTNESS.md, docs/SIMULATORS.md) all run here.
@@ -37,9 +43,7 @@ if [[ "${1:-}" == "--slow" ]]; then
     for p in bitv xasm vlog isdl-suite; do
         run cargo test -q -p "$p" --features slow-props
     done
-    # perfbench is a workspace of its own, so nothing above builds it.
-    # Its tests run every benchmark workload once; --locked fails if a
-    # crate change would rewrite perfbench/Cargo.lock.
+    # perfbench's tests run every benchmark workload once.
     run cargo test --offline --locked --manifest-path perfbench/Cargo.toml
 fi
 

@@ -331,9 +331,9 @@ fn run(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Replays the halted program on the HGEN netlist with the chosen
-/// backend and verifies every data-carrying storage matches the ILS
-/// bit-for-bit. Returns the netlist `vlog-stats/1` block.
+/// Synthesizes the machine, elaborates its netlist with the chosen
+/// backend and runs [`archex::check_netlist`] on it. Returns the netlist
+/// `vlog-stats/1` block.
 fn netlist_cross_check(
     machine: &isdl::Machine,
     program: &xasm::Program,
@@ -343,31 +343,8 @@ fn netlist_cross_check(
     let hw = hgen::synthesize(machine, hgen::HgenOptions::default())
         .map_err(|e| format!("netlist check: synthesis failed: {e}"))?;
     let mut sim = hw.simulator(backend).map_err(|e| format!("netlist check: {e}"))?;
-    hgen::load_program(machine, &mut sim, program).map_err(|e| format!("netlist check: {e}"))?;
-    // The hardware stalls at most as many extra cycles as the ILS
-    // charged; programs assembled from compiled kernels end in a
-    // state-neutral self-loop.
-    sim.clock(4 * xsim.stats().cycles + 16).map_err(|e| format!("netlist check: {e}"))?;
-    for (i, s) in machine.storages.iter().enumerate() {
-        use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
-        if matches!(s.kind, ProgramCounter | InstructionMemory) {
-            continue;
-        }
-        for a in 0..s.cells() {
-            let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
-            let hard = if s.kind.is_addressed() {
-                sim.peek_memory(&s.name, a).map_err(|e| format!("netlist check: {e}"))?
-            } else {
-                sim.peek(&s.name).map_err(|e| format!("netlist check: {e}"))?
-            };
-            if *soft != hard {
-                return Err(format!(
-                    "netlist check: {}[{a}] differs: ILS {soft}, netlist ({backend}) {hard}",
-                    s.name
-                ));
-            }
-        }
-    }
+    archex::check_netlist(machine, &mut sim, program, xsim)
+        .map_err(|e| format!("netlist check: {e}"))?;
     Ok(vlog::stats_json(&sim))
 }
 

@@ -1,7 +1,8 @@
 //! Property-based differential test between the two generated models:
 //! for random straight-line programs, the XSIM instruction-level
-//! simulator and the HGEN hardware model must agree on the final
-//! architectural state — random-program evidence for "the
+//! simulator and the HGEN hardware model, on both netlist backends,
+//! must agree on the final architectural state
+//! ([`archex::check_netlist`]) — random-program evidence for "the
 //! synthesizable Verilog model is itself a simulator" (§4.2).
 //!
 //! Programs are straight-line (single trailing self-loop) so the
@@ -13,8 +14,7 @@ use gensim::{StopReason, Xsim};
 use hgen::{synthesize, HgenOptions};
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use vlog::lsim::LevelizedSim;
-use vlog::sim::NetlistSim;
+use vlog::{AnySim, SimBackend};
 use xasm::Assembler;
 
 fn machine() -> &'static isdl::Machine {
@@ -22,21 +22,14 @@ fn machine() -> &'static isdl::Machine {
     M.get_or_init(|| isdl::load(isdl::samples::TOY).expect("loads"))
 }
 
-/// The hardware netlist, elaborated once and cloned per case.
-fn hardware() -> &'static NetlistSim {
-    static H: OnceLock<NetlistSim> = OnceLock::new();
+/// The hardware netlist, elaborated once per backend and cloned per
+/// case.
+fn hardware() -> &'static [AnySim; 2] {
+    static H: OnceLock<[AnySim; 2]> = OnceLock::new();
     H.get_or_init(|| {
         let hw = synthesize(machine(), HgenOptions::default()).expect("synthesizes");
-        NetlistSim::elaborate(&hw.module).expect("elaborates")
-    })
-}
-
-/// The same netlist, compiled by the levelized backend.
-fn hardware_levelized() -> &'static LevelizedSim {
-    static H: OnceLock<LevelizedSim> = OnceLock::new();
-    H.get_or_init(|| {
-        let hw = synthesize(machine(), HgenOptions::default()).expect("synthesizes");
-        LevelizedSim::elaborate(&hw.module).expect("compiles")
+        [SimBackend::Event, SimBackend::Levelized]
+            .map(|backend| hw.simulator(backend).expect("elaborates"))
     })
 }
 
@@ -82,69 +75,22 @@ proptest! {
         let mut xsim = Xsim::generate(m).expect("generates");
         xsim.load_program(&program);
         let dm = m.storage_by_name("DM").expect("DM").0;
-        for (i, &v) in seed_mem.iter().enumerate() {
-            xsim.state_mut().poke(dm, i as u64, BitVector::from_u64(u64::from(v), 16));
+        let seed: Vec<BitVector> =
+            seed_mem.iter().map(|&v| BitVector::from_u64(u64::from(v), 16)).collect();
+        for (i, v) in seed.iter().enumerate() {
+            xsim.state_mut().poke(dm, i as u64, v.clone());
         }
         prop_assert_eq!(xsim.run(100_000), StopReason::Halted);
 
-        // Hardware run (cloned pre-elaborated netlist).
-        let mut hw = hardware().clone();
-        for (a, w) in program.words.iter().enumerate() {
-            hw.poke_memory("IM", a as u64, w.clone()).expect("pokes");
+        // Every data-carrying storage must agree bit-for-bit on each
+        // backend, the data memory seeded alike.
+        for pristine in hardware() {
+            let mut hw = pristine.clone();
+            for (i, v) in seed.iter().enumerate() {
+                hw.poke_memory("DM", i as u64, v.clone()).expect("pokes");
+            }
+            let verdict = archex::check_netlist(m, &mut hw, &program, &xsim);
+            prop_assert_eq!(verdict, Ok(()), "for:\n{}", src);
         }
-        for (i, &v) in seed_mem.iter().enumerate() {
-            hw.poke_memory("DM", i as u64, BitVector::from_u64(u64::from(v), 16))
-                .expect("pokes");
-        }
-        hw.clock(4 * xsim.stats().cycles + 16).expect("clocks");
-
-        // Every data-carrying storage must agree bit-for-bit.
-        let rf = m.storage_by_name("RF").expect("RF").0;
-        for r in 0..8u64 {
-            prop_assert_eq!(
-                xsim.state().read(rf, r),
-                hw.peek_memory("RF", r).expect("mem"),
-                "RF[{}] differs for:\n{}", r, src
-            );
-        }
-        for a in 0..256u64 {
-            prop_assert_eq!(
-                xsim.state().read(dm, a),
-                hw.peek_memory("DM", a).expect("mem"),
-                "DM[{}] differs for:\n{}", a, src
-            );
-        }
-        let acc = m.storage_by_name("ACC").expect("ACC").0;
-        prop_assert_eq!(xsim.state().read(acc, 0), hw.peek("ACC").expect("net"), "ACC differs for:\n{}", src);
-        let z = m.storage_by_name("Z").expect("Z").0;
-        prop_assert_eq!(xsim.state().read(z, 0), hw.peek("Z").expect("net"), "Z differs for:\n{}", src);
-
-        // The levelized backend, fed the same stimulus, must land in
-        // exactly the same state as the event-driven one.
-        let mut lhw = hardware_levelized().clone();
-        for (a, w) in program.words.iter().enumerate() {
-            lhw.poke_memory("IM", a as u64, w.clone()).expect("pokes");
-        }
-        for (i, &v) in seed_mem.iter().enumerate() {
-            lhw.poke_memory("DM", i as u64, BitVector::from_u64(u64::from(v), 16))
-                .expect("pokes");
-        }
-        lhw.clock(4 * xsim.stats().cycles + 16).expect("clocks");
-        for r in 0..8u64 {
-            prop_assert_eq!(
-                hw.peek_memory("RF", r).expect("mem"),
-                &lhw.peek_memory("RF", r).expect("mem"),
-                "levelized RF[{}] differs for:\n{}", r, src
-            );
-        }
-        for a in 0..256u64 {
-            prop_assert_eq!(
-                hw.peek_memory("DM", a).expect("mem"),
-                &lhw.peek_memory("DM", a).expect("mem"),
-                "levelized DM[{}] differs for:\n{}", a, src
-            );
-        }
-        prop_assert_eq!(hw.peek("ACC").expect("net"), &lhw.peek("ACC").expect("net"), "levelized ACC differs for:\n{}", src);
-        prop_assert_eq!(hw.peek("Z").expect("net"), &lhw.peek("Z").expect("net"), "levelized Z differs for:\n{}", src);
     }
 }

@@ -7,7 +7,7 @@
 use gensim::{StopReason, Xsim};
 use hgen::{synthesize, DecodeStyle, HgenOptions, ShareOptions};
 use isdl::Machine;
-use vlog::{AnySim, SimBackend};
+use vlog::SimBackend;
 use xasm::{Assembler, Program};
 
 /// Runs `program` on XSIM until it halts; returns the simulator.
@@ -18,58 +18,17 @@ fn run_xsim<'m>(machine: &'m Machine, program: &Program) -> Xsim<'m> {
     sim
 }
 
-/// Runs `program` on the generated hardware for `edges` clock cycles
-/// with the chosen netlist backend.
-fn run_hardware(
-    machine: &Machine,
-    program: &Program,
-    options: HgenOptions,
-    edges: u64,
-    backend: SimBackend,
-) -> AnySim {
-    let result = synthesize(machine, options).expect("synthesizes");
-    let mut sim = result.simulator(backend).expect("elaborates");
-    hgen::load_program(machine, &mut sim, program).expect("loads");
-    sim.clock(edges).expect("clocks");
-    sim
-}
-
-/// Asserts every data-carrying storage matches between the two models.
-fn assert_state_matches(machine: &Machine, xsim: &Xsim<'_>, hw: &AnySim) {
-    for (i, s) in machine.storages.iter().enumerate() {
-        use isdl::model::StorageKind::*;
-        match s.kind {
-            ProgramCounter | InstructionMemory => continue,
-            _ if s.kind.is_addressed() => {
-                for a in 0..s.cells() {
-                    let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
-                    let hard = hw.peek_memory(&s.name, a).expect("mem");
-                    assert_eq!(*soft, hard, "{}[{a}] differs", s.name);
-                }
-            }
-            _ => {
-                let soft = xsim.state().read(isdl::rtl::StorageId(i), 0);
-                let hard = hw.peek(&s.name).expect("net");
-                assert_eq!(*soft, hard, "{} differs", s.name);
-            }
-        }
-    }
-}
-
-/// Programs end with a self-loop so extra hardware clocks are
-/// state-neutral. Every program is checked against both netlist
-/// backends — the levelized compiler must preserve the event-driven
-/// semantics exactly.
+/// Checks `asm` against the hardware generated with `options` on both
+/// netlist backends with [`archex::check_netlist`]. Programs end with a
+/// self-loop so extra hardware clocks are state-neutral.
 fn check_program(machine_src: &str, asm: &str, options: HgenOptions) {
     let machine = isdl::load(machine_src).expect("machine loads");
     let program = Assembler::new(&machine).assemble(asm).expect("assembles");
     let xsim = run_xsim(&machine, &program);
-    // Generous edge budget: the hardware stalls at most as many extra
-    // cycles as the ILS charged, and the trailing self-loop is inert.
-    let edges = 4 * xsim.stats().cycles + 16;
+    let result = synthesize(&machine, options).expect("synthesizes");
     for backend in [SimBackend::Event, SimBackend::Levelized] {
-        let hw = run_hardware(&machine, &program, options, edges, backend);
-        assert_state_matches(&machine, &xsim, &hw);
+        let mut hw = result.simulator(backend).expect("elaborates");
+        archex::check_netlist(&machine, &mut hw, &program, &xsim).unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -6,7 +6,7 @@
 use bitv::BitVector;
 use gensim::{StopReason, Xsim};
 use hgen::{synthesize, HgenOptions};
-use vlog::sim::NetlistSim;
+use vlog::SimBackend;
 use xasm::Assembler;
 
 /// A 16-bit machine with a two-word load-immediate, a hardware stack
@@ -136,30 +136,10 @@ fn multiword_hardware_model_matches_ils() {
     assert_eq!(xsim.run(1_000), StopReason::Halted);
 
     let hw = synthesize(&m, HgenOptions::default()).expect("synthesizes");
-    let mut hsim = NetlistSim::elaborate(&hw.module).expect("elaborates");
-    for (a, w) in p.words.iter().enumerate() {
-        hsim.poke_memory("IM", a as u64, w.clone()).expect("pokes");
+    for backend in [SimBackend::Event, SimBackend::Levelized] {
+        let mut hsim = hw.simulator(backend).expect("elaborates");
+        archex::check_netlist(&m, &mut hsim, &p, &xsim).unwrap_or_else(|e| panic!("{e}"));
     }
-    hsim.clock(4 * xsim.stats().cycles + 16).expect("clocks");
-
-    let rf = m.storage_by_name("RF").expect("RF").0;
-    for r in 0..4u64 {
-        assert_eq!(xsim.state().read(rf, r), hsim.peek_memory("RF", r).expect("mem"), "RF[{r}]");
-    }
-    assert_eq!(
-        xsim.state().read(m.storage_by_name("MODE").expect("MODE").0, 0),
-        hsim.peek("MODE").expect("net"),
-        "control register"
-    );
-    let out = m.storage_by_name("OUT").expect("OUT").0;
-    for a in 0..4u64 {
-        assert_eq!(xsim.state().read(out, a), hsim.peek_memory("OUT", a).expect("mem"), "OUT[{a}]");
-    }
-    assert_eq!(
-        xsim.state().read(m.storage_by_name("SP").expect("SP").0, 0),
-        hsim.peek("SP").expect("net"),
-        "stack pointer"
-    );
 }
 
 #[test]

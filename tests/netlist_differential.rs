@@ -1,9 +1,9 @@
-//! Three-way differential over the netlist simulation tiers: for every
-//! program of the shared corpus and every middle-end opt level, the ILS
-//! (XSIM), the event-driven netlist simulator, and the compiled
-//! levelized netlist simulator must agree bit-for-bit on final
-//! architectural state. This is the standing gate that keeps the
-//! levelized backend honest — it collapses 4-state event-driven
+//! Differential over the netlist simulation tiers: for every program
+//! of the shared corpus and every middle-end opt level, the event-driven
+//! netlist simulator and the compiled levelized netlist simulator must
+//! each agree bit-for-bit with the ILS (XSIM) on final architectural
+//! state, and so with each other. This is the standing gate that keeps
+//! the levelized backend honest — it collapses 4-state event-driven
 //! evaluation into 2-state straight-line sweeps, and any shortcut that
 //! changes semantics fails here, on compiler-shaped code, not just on
 //! hand-written counters. The hardware is generated independently of
@@ -20,6 +20,8 @@ use isdl::Machine;
 use vlog::{AnySim, SimBackend};
 use xasm::{Assembler, Program};
 
+const BACKENDS: [SimBackend; 2] = [SimBackend::Event, SimBackend::Levelized];
+
 /// Runs `program` on XSIM until it halts; returns the simulator.
 fn run_xsim<'m>(machine: &'m Machine, program: &Program) -> Xsim<'m> {
     let mut sim = Xsim::generate(machine).expect("generates");
@@ -28,78 +30,49 @@ fn run_xsim<'m>(machine: &'m Machine, program: &Program) -> Xsim<'m> {
     sim
 }
 
-/// Elaborates the HGEN netlist with `backend`, loads the program and
-/// data image, and clocks it past quiescence.
-fn run_netlist(
-    machine: &Machine,
-    program: &Program,
-    options: HgenOptions,
-    backend: SimBackend,
-    edges: u64,
-) -> AnySim {
-    let result = synthesize(machine, options).expect("synthesizes");
-    let mut sim = result.simulator(backend).expect("elaborates");
-    hgen::load_program(machine, &mut sim, program).expect("loads");
-    sim.clock(edges).expect("clocks");
-    sim
-}
-
-/// Every data-carrying storage of `machine`, read from a netlist
-/// simulator, in declaration order.
-fn netlist_state(machine: &Machine, sim: &AnySim) -> Vec<(String, u64, BitVector)> {
-    let mut out = Vec::new();
-    for s in &machine.storages {
-        use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
-        if matches!(s.kind, ProgramCounter | InstructionMemory) {
-            continue;
-        }
-        for a in 0..s.cells() {
-            let v = if s.kind.is_addressed() {
-                sim.peek_memory(&s.name, a).expect("mem")
-            } else {
-                sim.peek(&s.name).expect("net")
-            };
-            out.push((s.name.clone(), a, v));
-        }
-    }
-    out
-}
-
-/// The tentpole gate: ILS, event netlist, and levelized netlist agree
-/// on every storage cell, for every corpus machine, at every HGEN opt
-/// level.
+/// The tentpole gate: the ILS and each netlist backend agree on every
+/// storage cell, for every corpus machine, at every HGEN opt level.
 #[test]
 fn netlist_backends_match_the_ils_across_samples_and_opt_levels() {
     for (name, machine, asm) in corpus() {
         let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
         let xsim = run_xsim(&machine, &program);
-        let edges = 4 * xsim.stats().cycles + 16;
         for opt in LEVELS {
-            let options = HgenOptions { opt, ..HgenOptions::default() };
-            let event = run_netlist(&machine, &program, options, SimBackend::Event, edges);
-            let lev = run_netlist(&machine, &program, options, SimBackend::Levelized, edges);
-            let ev_state = netlist_state(&machine, &event);
-            let lv_state = netlist_state(&machine, &lev);
-            assert_eq!(ev_state, lv_state, "{name}: backends diverge at opt={opt}");
-            for (i, s) in machine.storages.iter().enumerate() {
-                use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
-                if matches!(s.kind, ProgramCounter | InstructionMemory) {
-                    continue;
-                }
-                for a in 0..s.cells() {
-                    let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
-                    let hard = if s.kind.is_addressed() {
-                        lev.peek_memory(&s.name, a).expect("mem")
-                    } else {
-                        lev.peek(&s.name).expect("net")
-                    };
-                    assert_eq!(
-                        *soft, hard,
-                        "{name}: {}[{a}] differs from the ILS at opt={opt}",
-                        s.name
-                    );
+            let result =
+                synthesize(&machine, HgenOptions { opt, ..HgenOptions::default() }).expect("synth");
+            for backend in BACKENDS {
+                let mut hw = result.simulator(backend).expect("elaborates");
+                if let Err(e) = archex::check_netlist(&machine, &mut hw, &program, &xsim) {
+                    panic!("{name} at opt={opt}: {e}");
                 }
             }
+        }
+    }
+}
+
+/// The check's failure path: a data-memory cell, then a plain register,
+/// changed in the ILS state after the run fails the check on both
+/// backends with a message naming that cell and both values.
+#[test]
+fn a_changed_ils_cell_fails_the_check_naming_the_cell() {
+    let (_, machine, asm) = corpus().into_iter().find(|(n, ..)| *n == "toy").expect("toy");
+    let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
+    let mut xsim = run_xsim(&machine, &program);
+    let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
+    for backend in BACKENDS {
+        let hw = result.simulator(backend).expect("elaborates");
+        archex::check_netlist(&machine, &mut hw.clone(), &program, &xsim).expect("agrees");
+        // TOY_MIXED stores its first sum at DM[30] and ends with a MAC
+        // result in ACC.
+        for (storage, cell) in [("DM", 30), ("ACC", 0)] {
+            let (id, s) = machine.storage_by_name(storage).expect("storage");
+            let good = xsim.state().read(id, cell).clone();
+            let bad = BitVector::from_u64(good.to_u64_lossy() ^ 1, s.width);
+            xsim.state_mut().poke(id, cell, bad.clone());
+            let err = archex::check_netlist(&machine, &mut hw.clone(), &program, &xsim)
+                .expect_err("a changed cell fails the check");
+            assert_eq!(err, format!("{storage}[{cell}]: ILS {bad}, netlist ({backend}) {good}"));
+            xsim.state_mut().poke(id, cell, good);
         }
     }
 }
@@ -152,8 +125,10 @@ fn levelized_stats_show_partition_skipping_on_spam() {
     let asm = archex::compile(&machine, &archex::workloads::fir(3, 8)).expect("compiles").asm;
     let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
     let xsim = run_xsim(&machine, &program);
-    let edges = 4 * xsim.stats().cycles + 16;
-    let sim = run_netlist(&machine, &program, HgenOptions::default(), SimBackend::Levelized, edges);
+    let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
+    let mut sim = result.simulator(SimBackend::Levelized).expect("elaborates");
+    archex::check_netlist(&machine, &mut sim, &program, &xsim).expect("agrees with the ILS");
+    assert!(sim.cycles() > xsim.stats().cycles, "the check clocks past the ILS count");
     let AnySim::Levelized(ref lsim) = sim else {
         panic!("levelized backend requested");
     };
@@ -165,5 +140,5 @@ fn levelized_stats_show_partition_skipping_on_spam() {
     let json = vlog::stats_json(&sim);
     assert_eq!(json.get_str("schema"), Some("vlog-stats/1"));
     let round_trip = obs::Json::parse(&json.to_pretty()).expect("stats parse back");
-    assert_eq!(round_trip.get_u64("cycles"), Some(edges));
+    assert_eq!(round_trip.get_u64("cycles"), Some(sim.cycles()));
 }

@@ -3,16 +3,17 @@
 //! The optimizer's contract is semantic invisibility: at every
 //! `OptLevel`, in the simulator and in the generated hardware, programs
 //! must produce bit-identical architectural state. These tests pin that
-//! contract across the shared corpus, and pin the acceptance-level
-//! wins — WIDEMUL's 128-bit multiply narrowing onto the u64 bytecode
-//! lane, and nonzero eliminations in `xsim-stats/1`.
+//! contract for the simulator across the shared corpus, and pin the
+//! acceptance-level wins — WIDEMUL's 128-bit multiply narrowing onto
+//! the u64 bytecode lane, and nonzero eliminations in `xsim-stats/1`.
+//! `tests/netlist_differential.rs` checks the hardware generated at
+//! every level against the simulator over the same corpus.
 
 mod corpus;
 
 use bitv::BitVector;
-use corpus::{corpus, full_state, ACC16_SUM, LEVELS, TOY_MIXED, WIDEMUL_DIV_PROG, WIDEMUL_PROG};
+use corpus::{corpus, full_state, LEVELS, WIDEMUL_DIV_PROG, WIDEMUL_PROG};
 use gensim::{StopReason, Xsim, XsimOptions};
-use hgen::HgenOptions;
 use isdl::opt::OptLevel;
 use isdl::Machine;
 use xasm::{Assembler, Program};
@@ -181,51 +182,4 @@ fn stats_json_reports_the_opt_block() {
         assert_eq!(o0.get_u64(key), Some(0), "level 0 must not touch `{key}`");
     }
     assert!(j0.get("opt").expect("opt").get_u64("wide_fallbacks").expect("wide") > 0);
-}
-
-/// HGEN netlists at every opt level must agree with the (independently
-/// checked) instruction-level simulator — and therefore with each
-/// other. Mirrors `tests/hw_equivalence.rs`.
-fn check_hardware(machine: &Machine, asm: &str, options: HgenOptions) {
-    let program = Assembler::new(machine).assemble(asm).expect("assembles");
-    let mut xsim = Xsim::generate(machine).expect("generates");
-    xsim.load_program(&program);
-    assert_eq!(xsim.run(1_000_000), StopReason::Halted);
-
-    let result = hgen::synthesize(machine, options).expect("synthesizes");
-    let mut hw = result.simulator(vlog::SimBackend::Event).expect("elaborates");
-    hgen::load_program(machine, &mut hw, &program).expect("loads");
-    hw.clock(4 * xsim.stats().cycles + 16).expect("clocks");
-
-    for (i, s) in machine.storages.iter().enumerate() {
-        use isdl::model::StorageKind::{InstructionMemory, ProgramCounter};
-        if matches!(s.kind, ProgramCounter | InstructionMemory) {
-            continue;
-        }
-        for a in 0..s.cells() {
-            let soft = xsim.state().read(isdl::rtl::StorageId(i), a);
-            let hard = if s.kind.is_addressed() {
-                hw.peek_memory(&s.name, a).expect("mem")
-            } else {
-                hw.peek(&s.name).expect("net")
-            };
-            assert_eq!(*soft, hard, "{}[{a}] differs at opt={}", s.name, options.opt);
-        }
-    }
-}
-
-#[test]
-fn hgen_netlists_agree_across_opt_levels() {
-    for (name, src, asm) in [
-        ("acc16", isdl::samples::ACC16, ACC16_SUM),
-        ("widemul", isdl::samples::WIDEMUL, WIDEMUL_PROG),
-        ("toy", isdl::samples::TOY, TOY_MIXED),
-        ("widemul-div", isdl::samples::WIDEMUL, WIDEMUL_DIV_PROG),
-    ] {
-        let machine = isdl::load(src).expect("loads");
-        for opt in LEVELS {
-            eprintln!("hgen differential: {name} at opt={opt}");
-            check_hardware(&machine, asm, HgenOptions { opt, ..HgenOptions::default() });
-        }
-    }
 }

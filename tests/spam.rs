@@ -5,7 +5,7 @@ use archex::{compile, workloads};
 use gensim::{StopReason, Xsim};
 use hgen::{synthesize, HgenOptions};
 use isdl::samples::{SPAM, SPAM2};
-use vlog::sim::NetlistSim;
+use vlog::SimBackend;
 use xasm::Assembler;
 
 #[test]
@@ -99,45 +99,19 @@ start: li R1, 6 | ALU1.li R2, 7
 end:   jmp end
 ";
     let p = Assembler::new(&m).assemble(asm).expect("assembles");
+    // `ind(R1)` reads DM[6], seeded in both models.
+    let seed = bitv::BitVector::from_u64(1000, 32);
     let mut xsim = Xsim::generate(&m).expect("generates");
-    sim_setup(&m, &mut xsim, &p);
+    xsim.load_program(&p);
+    xsim.state_mut().poke(m.storage_by_name("DM").expect("DM").0, 6, seed.clone());
     assert_eq!(xsim.run(10_000), StopReason::Halted);
 
     let hw = synthesize(&m, HgenOptions::default()).expect("synthesizes");
-    let mut hsim = NetlistSim::elaborate(&hw.module).expect("elaborates");
-    for (a, w) in p.words.iter().enumerate() {
-        hsim.poke_memory("IM", a as u64, w.clone()).expect("pokes");
+    for backend in [SimBackend::Event, SimBackend::Levelized] {
+        let mut hsim = hw.simulator(backend).expect("elaborates");
+        hsim.poke_memory("DM", 6, seed.clone()).expect("pokes");
+        archex::check_netlist(&m, &mut hsim, &p, &xsim).unwrap_or_else(|e| panic!("{e}"));
     }
-    hsim.poke_memory("DM", 6, bitv::BitVector::from_u64(1000, 32)).expect("pokes");
-    hsim.clock(4 * xsim.stats().cycles + 16).expect("clocks");
-
-    let rf = m.storage_by_name("RF").expect("RF").0;
-    let dm = m.storage_by_name("DM").expect("DM").0;
-    for r in 0..16u64 {
-        assert_eq!(
-            xsim.state().read(rf, r),
-            hsim.peek_memory("RF", r).expect("mem"),
-            "RF[{r}] differs"
-        );
-    }
-    for a in [50u64, 51] {
-        assert_eq!(
-            xsim.state().read(dm, a),
-            hsim.peek_memory("DM", a).expect("mem"),
-            "DM[{a}] differs"
-        );
-    }
-    assert_eq!(
-        xsim.state().read(m.storage_by_name("ACC").expect("ACC").0, 0),
-        hsim.peek("ACC").expect("net"),
-        "accumulator differs"
-    );
-}
-
-fn sim_setup(m: &isdl::Machine, sim: &mut Xsim<'_>, p: &xasm::Program) {
-    sim.load_program(p);
-    let dm = m.storage_by_name("DM").expect("DM").0;
-    sim.state_mut().poke(dm, 6, bitv::BitVector::from_u64(1000, 32));
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //!
 //! The translation layer's contract mirrors the middle-end's: semantic
 //! invisibility. Dispatching through fused basic blocks must produce
-//! bit-identical architectural state, address traces, event traces,
-//! and cycle profiles at every opt level, on every program of the
+//! bit-identical architectural state, event traces, and cycle
+//! profiles at every opt level, on every program of the
 //! shared corpus, and across exploration thread counts. These tests
 //! pin that contract, the self-modifying-store visibility rule (a
 //! staged write into instruction memory applied at end-of-cycle is
@@ -18,7 +18,6 @@ use corpus::{corpus, full_state, ACC16_SUM, LEVELS};
 use gensim::{StopReason, Xsim, XsimOptions};
 use isdl::opt::OptLevel;
 use isdl::Machine;
-use std::sync::{Arc, Mutex};
 use xasm::{Assembler, Program};
 
 fn run_at(
@@ -49,21 +48,10 @@ fn translated_dispatch_is_bit_identical_across_samples_and_opt_levels() {
     }
 }
 
-#[derive(Clone, Default)]
-struct SharedSink(Arc<Mutex<Vec<u8>>>);
-impl std::io::Write for SharedSink {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().expect("sink lock").extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Beyond final state: the address trace, the full `xsim-trace/1`
-/// event trace (cycles, pcs, staged writes), and the `xsim-profile/1`
-/// report must be byte-identical between dispatch tiers.
+/// Beyond final state: the full `xsim-trace/1` event trace (cycles,
+/// pcs, staged writes of every retired instruction) and the
+/// `xsim-profile/1` report must be byte-identical between dispatch
+/// tiers.
 #[test]
 fn traces_and_profiles_are_identical_between_tiers() {
     for (name, machine, asm) in corpus() {
@@ -74,21 +62,18 @@ fn traces_and_profiles_are_identical_between_tiers() {
             sim.load_program(&program);
             sim.enable_event_trace(16_384);
             sim.enable_profile();
-            let sink = SharedSink::default();
-            sim.set_trace(Box::new(sink.clone()));
             let stop = sim.run(1_000_000);
             assert_eq!(stop, StopReason::Halted, "{name} halts");
-            let addrs = sink.0.lock().expect("sink lock").clone();
+            let dropped = sim.event_trace().expect("enabled").dropped();
+            assert_eq!(dropped, 0, "{name}: the trace holds every retired instruction");
             (
-                addrs,
                 gensim::trace_json(&sim).to_string(),
                 gensim::profile_json(&sim).to_string(),
                 sim.stats().clone(),
             )
         };
-        let (addrs_i, trace_i, profile_i, stats_i) = observe(false);
-        let (addrs_t, trace_t, profile_t, stats_t) = observe(true);
-        assert_eq!(addrs_i, addrs_t, "{name}: address traces diverge");
+        let (trace_i, profile_i, stats_i) = observe(false);
+        let (trace_t, profile_t, stats_t) = observe(true);
         assert_eq!(trace_i, trace_t, "{name}: event traces diverge");
         assert_eq!(profile_i, profile_t, "{name}: profiles diverge");
         assert_eq!(stats_i, stats_t, "{name}: stats diverge");
