@@ -142,7 +142,8 @@ pub enum NetlistCheck {
 /// being the ILS's count. The margin is for the hardware's extra stall
 /// cycles: its scoreboard stalls writers as well as readers and loads
 /// each storage's worst latency, so the generated hardware needs up to
-/// 1.57× XSIM's count on SPAM's compiled kernels. Running past the end
+/// 1.6× XSIM's count on SPAM's compiled kernels (`dot_product(6)`: 30
+/// cycles in XSIM, 48 in hardware). Running past the end
 /// is harmless only if the end is state-neutral: the generated hardware
 /// ignores `halt`, so programs end in a self-loop (`end: jmp end`).
 /// After a `halt` the netlist would run on through the zero (`nop`)

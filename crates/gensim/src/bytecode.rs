@@ -6,6 +6,12 @@
 //! bytecode over `u64` lanes, then executed by a tight loop — no tree
 //! walking, no `BitVector` allocation on the hot path.
 //!
+//! Each compiled `Write` carries its operation's `latency`, so a
+//! [`Program`] is self-contained: [`run`] needs only the runtime
+//! parameters and the cycle-start state. The translated tier
+//! ([`crate::translate`]) fuses and folds these programs per
+//! instruction and runs the result on the same [`run`].
+//!
 //! Operations whose RTL involves values wider than 64 bits fall back to
 //! the tree-walking executor ([`crate::exec`]) transparently. The
 //! differential tests check both lanes against the generated hardware,
@@ -91,12 +97,26 @@ pub(crate) enum BOp {
         idx: Reg,
         depth: u64,
     },
+    /// `ReadIdx` whose index folded to a constant (pre-wrapped).
+    ReadFix {
+        dst: Reg,
+        sid: StorageId,
+        idx: u64,
+    },
     Bin {
         op: BinOp,
         w: u32,
         dst: Reg,
         a: Reg,
         b: Reg,
+    },
+    /// `Bin` whose right operand folded to a constant.
+    BinImm {
+        op: BinOp,
+        w: u32,
+        dst: Reg,
+        a: Reg,
+        imm: u64,
     },
     Un {
         op: UnOp,
@@ -136,6 +156,8 @@ pub(crate) enum BOp {
     Jmp {
         target: usize,
     },
+    /// Stages `src[hi:lo]` into the cell, visible `latency` cycles
+    /// after issue (the writing operation's `timing.latency`).
     Write {
         sid: StorageId,
         idx: Option<Reg>,
@@ -143,6 +165,16 @@ pub(crate) enum BOp {
         hi: u32,
         lo: u32,
         src: Reg,
+        latency: u32,
+    },
+    /// `Write` whose index folded to a constant (pre-wrapped).
+    WriteFix {
+        sid: StorageId,
+        idx: u64,
+        hi: u32,
+        lo: u32,
+        src: Reg,
+        latency: u32,
     },
 }
 
@@ -198,7 +230,8 @@ impl Cache {
             return Rc::clone(c);
         }
         let stmts = self.optimized(machine, op_ref, phase, pipeline, stats);
-        let c = Rc::new(compile(machine, &stmts, bindings));
+        let latency = machine.op(op_ref).timing.latency;
+        let c = Rc::new(compile(machine, &stmts, bindings, latency));
         self.map.insert(key, Rc::clone(&c));
         c
     }
@@ -218,16 +251,16 @@ pub(crate) fn exec_compiled(
     bindings: &[Binding],
     params: &[u64],
     state: &State,
-    latency: u32,
     out: &mut Vec<StagedWrite>,
     regs: &mut Vec<u64>,
 ) -> Result<(), exec::ExecError> {
     match compiled {
         Compiled::Wide(stmts) => {
-            exec::exec_stmts(machine, stmts, Frame { op, bindings }, state, latency, out)
+            let frame = Frame { op, bindings };
+            exec::exec_stmts(machine, stmts, frame, state, op.timing.latency, out)
         }
         Compiled::Code(p) => {
-            run(p, params, state, latency, out, regs);
+            run(p, params, state, out, regs);
             Ok(())
         }
     }
@@ -290,6 +323,8 @@ fn build_slots(bindings: &[Binding], next: &mut u16) -> Vec<PSlot> {
 
 struct Compiler<'m> {
     machine: &'m Machine,
+    /// The compiled operation's `timing.latency`, stamped on each write.
+    latency: u32,
     code: Vec<BOp>,
     next_reg: Reg,
     /// Registers holding optimizer `Let` temporaries.
@@ -298,10 +333,15 @@ struct Compiler<'m> {
 
 struct WideRtl;
 
-fn compile(machine: &Machine, stmts: &Rc<Vec<RStmt>>, bindings: &[Binding]) -> Compiled {
+fn compile(
+    machine: &Machine,
+    stmts: &Rc<Vec<RStmt>>,
+    bindings: &[Binding],
+    latency: u32,
+) -> Compiled {
     let mut next = 0u16;
     let slots = build_slots(bindings, &mut next);
-    let mut c = Compiler { machine, code: Vec::new(), next_reg: 0, tmps: HashMap::new() };
+    let mut c = Compiler { machine, latency, code: Vec::new(), next_reg: 0, tmps: HashMap::new() };
     match c.compile_stmts(stmts, &slots) {
         Ok(()) => Compiled::Code(Program { code: c.code, n_regs: c.next_reg as usize }),
         Err(WideRtl) => Compiled::Wide(Rc::clone(stmts)),
@@ -328,7 +368,8 @@ impl Compiler<'_> {
                 let src = self.compile_expr(rhs, slots)?;
                 let (sid, idx, hi, lo) = self.compile_lvalue(lv, slots)?;
                 let depth = self.machine.storage(sid).cells();
-                self.code.push(BOp::Write { sid, idx, depth, hi, lo, src });
+                let latency = self.latency;
+                self.code.push(BOp::Write { sid, idx, depth, hi, lo, src, latency });
                 Ok(())
             }
             RStmt::If { cond, then_body, else_body } => {
@@ -562,11 +603,17 @@ pub(crate) fn sext64(v: u64, w: u32) -> i64 {
     }
 }
 
-fn run(
+/// Runs `p` against cycle-start `state` with runtime parameters
+/// `params` (empty for a fused trace, whose parameters are constants),
+/// staging its writes into `out`. The one μ-op loop of both dispatch
+/// tiers.
+// Inlined into each tier's call site: called out of line, `xsim_fir`
+// ran about 2% slower (8 alternating 4 s runs, 2-vCPU host).
+#[inline]
+pub(crate) fn run(
     p: &Program,
     params: &[u64],
     state: &State,
-    latency: u32,
     out: &mut Vec<StagedWrite>,
     regs: &mut Vec<u64>,
 ) {
@@ -584,16 +631,15 @@ fn run(
                 let i = regs[*idx as usize] % *depth;
                 regs[*dst as usize] = state.read_u64(*sid, i);
             }
+            BOp::ReadFix { dst, sid, idx } => regs[*dst as usize] = state.read_u64(*sid, *idx),
             BOp::Bin { op, w, dst, a, b } => {
                 regs[*dst as usize] = bin_u64(*op, *w, regs[*a as usize], regs[*b as usize]);
             }
+            BOp::BinImm { op, w, dst, a, imm } => {
+                regs[*dst as usize] = bin_u64(*op, *w, regs[*a as usize], *imm);
+            }
             BOp::Un { op, w, dst, a } => {
-                let v = regs[*a as usize];
-                regs[*dst as usize] = match op {
-                    UnOp::Neg => v.wrapping_neg() & mask(*w),
-                    UnOp::Not => !v & mask(*w),
-                    UnOp::LNot => u64::from(v == 0),
-                };
+                regs[*dst as usize] = un_u64(*op, *w, regs[*a as usize]);
             }
             BOp::Slice { dst, src, hi, lo } => {
                 regs[*dst as usize] = (regs[*src as usize] >> lo) & mask(hi - lo + 1);
@@ -617,17 +663,42 @@ fn run(
                 pc = *target;
                 continue;
             }
-            BOp::Write { sid, idx, depth, hi, lo, src } => {
+            BOp::Write { sid, idx, depth, hi, lo, src, latency } => {
                 let i = match idx {
                     Some(r) => regs[*r as usize] % *depth,
                     None => 0,
                 };
-                let w = hi - lo + 1;
-                let value = BitVector::from_u64(regs[*src as usize] & mask(w), w);
-                out.push(StagedWrite { storage: *sid, index: i, hi: *hi, lo: *lo, value, latency });
+                push_write(out, *sid, i, *hi, *lo, regs[*src as usize], *latency);
+            }
+            BOp::WriteFix { sid, idx, hi, lo, src, latency } => {
+                push_write(out, *sid, *idx, *hi, *lo, regs[*src as usize], *latency);
             }
         }
         pc += 1;
+    }
+}
+
+#[inline]
+fn push_write(
+    out: &mut Vec<StagedWrite>,
+    storage: StorageId,
+    index: u64,
+    hi: u32,
+    lo: u32,
+    raw: u64,
+    latency: u32,
+) {
+    let w = hi - lo + 1;
+    let value = BitVector::from_u64(raw & mask(w), w);
+    out.push(StagedWrite { storage, index, hi, lo, value, latency });
+}
+
+#[inline]
+pub(crate) fn un_u64(op: UnOp, w: u32, v: u64) -> u64 {
+    match op {
+        UnOp::Neg => v.wrapping_neg() & mask(w),
+        UnOp::Not => !v & mask(w),
+        UnOp::LNot => u64::from(v == 0),
     }
 }
 
@@ -748,7 +819,7 @@ mod tests {
                     ] {
                         let x = BitVector::from_u64(a, w);
                         let y = BitVector::from_u64(b, w);
-                        let expect = crate::exec::eval_binop(op, &x, &y).to_u64_lossy();
+                        let expect = isdl::opt::eval_binop(op, &x, &y).to_u64_lossy();
                         let got = bin_u64(op, w, a, b);
                         assert_eq!(got, expect, "op {op:?} w {w} a {a:#x} b {b:#x}");
                     }
@@ -756,10 +827,25 @@ mod tests {
                     for op in [Shl, Lshr, Ashr] {
                         let x = BitVector::from_u64(a, w);
                         let y = BitVector::from_u64(b, w);
-                        let expect = crate::exec::eval_binop(op, &x, &y).to_u64_lossy();
+                        let expect = isdl::opt::eval_binop(op, &x, &y).to_u64_lossy();
                         let got = bin_u64(op, w, a, b & mask(w));
                         assert_eq!(got, expect, "op {op:?} w {w} a {a:#x} b {b:#x}");
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn un_u64_matches_bitvector_semantics() {
+        use isdl::rtl::UnOp::*;
+        for w in 1u32..=64 {
+            let samples = [0, 1, 2 & mask(w), mask(w), mask(w) >> 1, (mask(w) >> 1) + 1];
+            for v in samples {
+                for op in [Neg, Not, LNot] {
+                    let expect = isdl::opt::eval_unop(op, &BitVector::from_u64(v, w));
+                    let got = un_u64(op, w, v);
+                    assert_eq!(got, expect.to_u64_lossy(), "op {op:?} w {w} v {v:#x}");
                 }
             }
         }

@@ -21,7 +21,7 @@
 
 use bitv::BitVector;
 use isdl::model::{Machine, Operation};
-use isdl::rtl::{BinOp, RExpr, RExprKind, RLvalue, RStmt, StorageId};
+use isdl::rtl::{RExpr, RExprKind, RLvalue, RStmt, StorageId};
 use xasm::Operand;
 
 /// A runtime fault while executing RTL: the frame handed to the
@@ -309,7 +309,7 @@ fn eval_with<V: StateView>(
         RExprKind::Binary(op, a, b) => {
             let x = eval_with(machine, a, frame, view, temps)?;
             let y = eval_with(machine, b, frame, view, temps)?;
-            eval_binop(*op, &x, &y)
+            isdl::opt::eval_binop(*op, &x, &y)
         }
         RExprKind::Cond(c, t, f) => {
             if eval_with(machine, c, frame, view, temps)?.is_zero() {
@@ -335,17 +335,6 @@ fn eval_with<V: StateView>(
             None => return Err(ExecError::UnboundTmp { tmp: *t }),
         },
     })
-}
-
-/// Applies a binary RTL operator to two values of equal width
-/// (except shifts, where `b` supplies only the amount).
-///
-/// Delegates to [`isdl::opt::eval_binop`] — the optimizer's constant
-/// folder and this interpreter share one definition of the operator
-/// semantics, so they cannot drift apart.
-#[must_use]
-pub fn eval_binop(op: BinOp, a: &BitVector, b: &BitVector) -> BitVector {
-    isdl::opt::eval_binop(op, a, b)
 }
 
 #[cfg(test)]
@@ -484,6 +473,8 @@ mod tests {
 
     #[test]
     fn binop_semantics() {
+        use isdl::opt::eval_binop;
+        use isdl::rtl::BinOp;
         let a = BitVector::from_u64(0xF0, 8);
         let b = BitVector::from_u64(0x11, 8);
         assert_eq!(eval_binop(BinOp::Add, &a, &b).to_u64_lossy(), 0x01);

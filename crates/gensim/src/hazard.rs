@@ -308,7 +308,6 @@ fn collect_expr_reads(
 /// Evaluates an index expression if it depends only on literals and
 /// token parameters (which are constants of the decoded instruction).
 fn const_eval(e: &RExpr, bindings: &[Binding]) -> Option<u64> {
-    use crate::exec::eval_binop;
     use bitv::BitVector;
     fn go(e: &RExpr, bindings: &[Binding]) -> Option<BitVector> {
         match &e.kind {
@@ -329,7 +328,7 @@ fn const_eval(e: &RExpr, bindings: &[Binding]) -> Option<u64> {
             RExprKind::Binary(op, a, b) => {
                 let x = go(a, bindings)?;
                 let y = go(b, bindings)?;
-                Some(eval_binop(*op, &x, &y))
+                Some(isdl::opt::eval_binop(*op, &x, &y))
             }
             _ => None,
         }

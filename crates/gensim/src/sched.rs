@@ -34,7 +34,7 @@ use crate::bytecode::{self, Compiled, Phase};
 use crate::exec::{binding_from_operand, Binding, StagedWrite};
 use crate::hazard;
 use crate::state::State;
-use crate::translate::{Block, BlockCache, BlockInstr, Fused, TranslateStats};
+use crate::translate::{Block, BlockCache, BlockInstr, TranslateStats};
 use bitv::BitVector;
 use isdl::model::{Machine, NtId, OpRef};
 use isdl::rtl::StorageId;
@@ -376,7 +376,6 @@ pub(crate) struct Plan {
     /// `None` when the operation has no side effects.
     pub(crate) side_effects: Option<Rc<Compiled>>,
     pub(crate) params: Vec<u64>,
-    pub(crate) latency: u32,
 }
 
 /// Adds one to `counts[(nt, option)]` for the non-terminal option `arg`
@@ -683,11 +682,6 @@ impl<'m> Xsim<'m> {
         self.events.as_ref()
     }
 
-    /// Stops event tracing and returns the recorded trace.
-    pub fn take_event_trace(&mut self) -> Option<EventTrace> {
-        self.events.take()
-    }
-
     /// Streams every executed instruction's retire record (the same
     /// JSON object `xsim-trace/1` carries per event) to `sink` as it
     /// happens. Unlike the bounded ring, a streaming sink never drops
@@ -714,11 +708,6 @@ impl<'m> Xsim<'m> {
     #[must_use]
     pub fn profile(&self) -> Option<&Profile> {
         self.profile.as_deref()
-    }
-
-    /// Stops profiling and returns the recorded profile.
-    pub fn take_profile(&mut self) -> Option<Profile> {
-        self.profile.take().map(|p| *p)
     }
 
     /// Code-section labels of the loaded program (address-sorted) —
@@ -877,12 +866,7 @@ impl<'m> Xsim<'m> {
             self.wide_fallbacks += u64::from(matches!(*action, Compiled::Wide(_)));
             self.wide_fallbacks +=
                 u64::from(matches!(side_effects.as_deref(), Some(Compiled::Wide(_))));
-            plans.push(Plan {
-                action,
-                side_effects,
-                params: bytecode::flatten_params(b),
-                latency: op.timing.latency,
-            });
+            plans.push(Plan { action, side_effects, params: bytecode::flatten_params(b) });
         }
         DecodedEntry { instr, bindings, plans, cycle_cost, stall: 0, stall_cause: None, halts }
     }
@@ -1007,15 +991,13 @@ impl<'m> Xsim<'m> {
         let mut writes = std::mem::take(&mut self.write_buf);
         writes.clear();
         for (i, compiled) in entry.phases() {
-            let plan = &entry.plans[i];
             if let Err(e) = bytecode::exec_compiled(
                 compiled,
                 self.machine,
                 self.machine.op(entry.instr.ops[i].op),
                 &entry.bindings[i],
-                &plan.params,
+                &entry.plans[i].params,
                 &self.state,
-                plan.latency,
                 &mut writes,
                 &mut self.scratch_regs,
             ) {
@@ -1249,20 +1231,20 @@ impl<'m> Xsim<'m> {
         }
     }
 
-    /// The fused fast path of [`Xsim::exec_entry`]: one flat μ-op
-    /// trace replaces plan iteration, parameter reads, and per-write
-    /// latency resolution. Stall charging and retirement are the
-    /// interpreter's.
+    /// The fused fast path of [`Xsim::exec_entry`]: one folded
+    /// bytecode program, run with no runtime parameters, replaces plan
+    /// iteration and parameter reads. Stall charging and retirement are
+    /// the interpreter's.
     fn exec_fused(
         &mut self,
         pc: u64,
         entry: &Rc<DecodedEntry>,
-        fused: &Fused,
+        fused: &bytecode::Program,
     ) -> Option<StopReason> {
         let t = self.stall_and_commit(entry);
         let mut writes = std::mem::take(&mut self.write_buf);
         writes.clear();
-        crate::translate::run_fused(fused, &self.state, &mut writes, &mut self.scratch_regs);
+        bytecode::run(fused, &[], &self.state, &mut writes, &mut self.scratch_regs);
         self.block_instructions += 1;
         self.retire(pc, entry, t, writes)
     }
@@ -1404,6 +1386,51 @@ one:   .word 1
         assert_eq!(r2_clean, 42);
         assert_eq!(s1.stall_cycles, 1, "one load-use stall");
         assert_eq!(s2.stall_cycles, 0, "nop fills the delay slot");
+    }
+
+    #[test]
+    fn late_result_is_visible_latency_cycles_after_issue() {
+        // `slow` declares no stall, so nothing hides its latency: the
+        // copies at distance 1 and 2 read the old R1, the one at
+        // distance 3 the new value.
+        let m = isdl::load(
+            r#"
+            machine "late" { format { word 16; } }
+            storage { imem IM 16 x 32; pc PC 5; regfile RF 16 x 4; }
+            tokens { token REG reg("R", 4); }
+            field F {
+                op slow(d: REG, v: REG) {
+                    encode { word[15:12] = 0b0001; word[11:10] = d; word[9:8] = v; }
+                    action { RF[d] <- zext(v, 16); }
+                    cost { cycle 1; stall 0; }
+                    timing { latency 3; }
+                }
+                op mv(d: REG, s: REG) {
+                    encode { word[15:12] = 0b0010; word[11:10] = d; word[9:8] = s; }
+                    action { RF[d] <- RF[s]; }
+                }
+                op halt() { encode { word[15:12] = 0b1111; } }
+                op nop() { encode { word[15:12] = 0b0000; } }
+            }
+            "#,
+        )
+        .expect("loads");
+        // (`slow d, s` loads the numeric index of register `s`.)
+        let src = "slow R1, R3\nmv R0, R1\nmv R2, R1\nmv R3, R1\nhalt\n";
+        let p = Assembler::new(&m).assemble(src).expect("assembles");
+        let rf = m.storage_by_name("RF").expect("RF").0;
+        for translate in [false, true] {
+            let options = XsimOptions { translate, ..XsimOptions::default() };
+            let mut sim = Xsim::generate_with(&m, options).expect("generates");
+            sim.load_program(&p);
+            sim.state_mut().poke(rf, 1, BitVector::from_u64(7, 16));
+            assert_eq!(sim.run(100), StopReason::Halted);
+            let copies = [0, 2, 3].map(|r| sim.state().read_u64(rf, r));
+            assert_eq!(copies, [7, 7, 3], "translate={translate}");
+            assert_eq!(sim.stats().stall_cycles, 0, "translate={translate}");
+            let fused = sim.translate_stats().block_instructions;
+            assert_eq!(fused, if translate { 5 } else { 0 }, "translate={translate}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! random operands — always augmented with the MIN/−1 overflow pair
 //! and division by zero — the bytecode interpreter and the translated
 //! basic-block tier must both match the shared
-//! [`gensim::exec::eval_binop`] reference bit-for-bit.
+//! [`isdl::opt::eval_binop`] reference bit-for-bit.
 
 use bitv::BitVector;
 use gensim::{StopReason, Xsim, XsimOptions};
@@ -70,8 +70,8 @@ proptest! {
         for (a, b) in pairs {
             let av = BitVector::from_u64(a, w);
             let bv = BitVector::from_u64(b, w);
-            let want_q = gensim::exec::eval_binop(BinOp::SDiv, &av, &bv);
-            let want_r = gensim::exec::eval_binop(BinOp::SRem, &av, &bv);
+            let want_q = isdl::opt::eval_binop(BinOp::SDiv, &av, &bv);
+            let want_r = isdl::opt::eval_binop(BinOp::SRem, &av, &bv);
             for translate in [false, true] {
                 let options = XsimOptions { translate, ..XsimOptions::default() };
                 let mut sim = Xsim::generate_with(&machine, options).expect("generates");

@@ -11,8 +11,12 @@
 //!   ports, and latency pipelines for operations whose results arrive
 //!   late,
 //! * a storage-level scoreboard interlock that freezes the PC while an
-//!   in-flight result is pending (the hardware counterpart of the
-//!   simulator's statically derived stalls),
+//!   in-flight result is pending. It is coarser than the simulator's
+//!   statically derived stalls, so the hardware can take more cycles
+//!   than XSIM counts: it stalls an operation that writes a storage
+//!   with a pending result, not only one that reads it, and it holds
+//!   off for the storage's worst latency over all operations, not the
+//!   issuing operation's own,
 //! * next-PC logic honouring branch writes and multi-word sizes.
 //!
 //! The generated module is self-contained: clock in, `pc_out` out; the

@@ -6,8 +6,8 @@
 # Usage:
 #   scripts/verify.sh          # tier-1: fmt + clippy + build + tests,
 #                              # and a type check of perfbench
-#   scripts/verify.sh --slow   # additionally the property suites and
-#                              # the perfbench tests
+#   scripts/verify.sh --slow   # additionally the property suites (linted
+#                              # and run) and the perfbench tests
 #   scripts/verify.sh --doc    # only the rustdoc pass (warnings fatal)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -37,10 +37,11 @@ run cargo check --offline --locked --manifest-path perfbench/Cargo.toml
 run cargo test -q
 
 if [[ "${1:-}" == "--slow" ]]; then
-    # required-features gating means a plain `cargo test` never sees
-    # these targets; enable them per package (a workspace-wide
-    # `--features` flag does not reach member crates).
+    # required-features gating means a plain `cargo clippy` or
+    # `cargo test` never sees these targets; enable them per package (a
+    # workspace-wide `--features` flag does not reach member crates).
     for p in bitv xasm vlog isdl-suite; do
+        run cargo clippy -q -p "$p" --features slow-props --all-targets -- -D warnings
         run cargo test -q -p "$p" --features slow-props
     done
     # perfbench's tests run every benchmark workload once.
