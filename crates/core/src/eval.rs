@@ -622,9 +622,17 @@ pub fn evaluate_with(
     let mut netlist_stats = obs::Json::Null;
     if let NetlistCheck::Run(backend) = netlist {
         let mut per_kernel = Vec::new();
-        for ((program, xsim), kernel) in check_runs.iter().zip(kernels) {
-            let stats = netlist_cross_check(machine, &hw, backend, &kernel.name, program, xsim)?;
-            per_kernel.push(stats.with("kernel", kernel.name.as_str()));
+        if let Some(first) = kernels.first() {
+            // One elaboration per candidate; each kernel checks a copy
+            // taken before loading, which shares the compiled program.
+            let elaborated =
+                hw.simulator(backend).map_err(|e| netlist_mismatch(&first.name, e.to_string()))?;
+            for ((program, xsim), kernel) in check_runs.iter().zip(kernels) {
+                let mut sim = elaborated.clone();
+                check_netlist(machine, &mut sim, program, xsim)
+                    .map_err(|message| netlist_mismatch(&kernel.name, message))?;
+                per_kernel.push(vlog::stats_json(&sim).with("kernel", kernel.name.as_str()));
+            }
         }
         netlist_stats = obs::Json::obj()
             .with("backend", backend.name())
@@ -648,35 +656,20 @@ pub fn evaluate_with(
     })
 }
 
-/// Checks one halted kernel on a fresh netlist of the chosen backend
-/// with [`check_netlist`], logging a mismatch with a flight dump.
-/// Returns the netlist simulator's `vlog-stats/1` block on success.
-fn netlist_cross_check(
-    machine: &Machine,
-    hw: &hgen::HgenResult,
-    backend: vlog::SimBackend,
-    kernel: &str,
-    program: &xasm::Program,
-    xsim: &Xsim<'_>,
-) -> Result<obs::Json, EvalError> {
-    let fail = |message: String| {
-        // A generator bug is exactly what the recorder exists for —
-        // take a dump and reference it on the log stream. The error
-        // message itself stays free of dump paths/tails: mismatch
-        // outcomes are cached and journaled, and those bytes must not
-        // depend on scheduling.
-        let note = obs::flight::capture("netlist_mismatch");
-        obs::log::event_with(obs::Level::Error, "eval.netlist", "mismatch", || {
-            obs::Json::obj()
-                .with("kernel", kernel)
-                .with("message", message.as_str())
-                .with("flight", note.as_str())
-        });
-        EvalError::NetlistMismatch { kernel: kernel.to_owned(), message }
-    };
-    let mut sim = hw.simulator(backend).map_err(|e| fail(e.to_string()))?;
-    check_netlist(machine, &mut sim, program, xsim).map_err(fail)?;
-    Ok(vlog::stats_json(&sim))
+/// The failed netlist check of `kernel`, logged with a flight dump.
+fn netlist_mismatch(kernel: &str, message: String) -> EvalError {
+    // A generator bug is exactly what the recorder exists for — take a
+    // dump and reference it on the log stream. The error message itself
+    // stays free of dump paths/tails: mismatch outcomes are cached and
+    // journaled, and those bytes must not depend on scheduling.
+    let note = obs::flight::capture("netlist_mismatch");
+    obs::log::event_with(obs::Level::Error, "eval.netlist", "mismatch", || {
+        obs::Json::obj()
+            .with("kernel", kernel)
+            .with("message", message.as_str())
+            .with("flight", note.as_str())
+    });
+    EvalError::NetlistMismatch { kernel: kernel.to_owned(), message }
 }
 
 /// Compresses full `xsim-profile/1` documents into the per-candidate
@@ -783,7 +776,7 @@ mod tests {
     #[test]
     fn netlist_check_passes_and_carries_vlog_stats() {
         let m = isdl::load(isdl::samples::TOY).expect("loads");
-        let kernels = vec![workloads::dot_product(3)];
+        let kernels = vec![workloads::dot_product(3), workloads::fir(2, 4)];
         let hgen = HgenOptions::default();
         let plain = evaluate_with(&m, &kernels, &EvalOptions { hgen, ..EvalOptions::default() })
             .expect("evaluates");
@@ -805,9 +798,23 @@ mod tests {
                 .get("kernels")
                 .and_then(obs::Json::as_arr)
                 .expect("per-kernel stats");
-            assert_eq!(ks.len(), 1);
+            assert_eq!(ks.len(), 2);
             assert_eq!(ks[0].get_str("schema"), Some("vlog-stats/1"));
             assert!(ks[0].get_u64("cycles").unwrap_or(0) > 0);
+            // One elaboration serves every kernel; each block reads as
+            // a fresh elaboration per kernel would.
+            let hw = synthesize(&m, hgen).expect("synthesizes");
+            for (block, kernel) in ks.iter().zip(&kernels) {
+                let asm = compile(&m, kernel).expect("compiles").asm;
+                let program = Assembler::new(&m).assemble(&asm).expect("assembles");
+                let mut xsim = Xsim::generate(&m).expect("generates");
+                xsim.load_program(&program);
+                assert_eq!(xsim.run(1_000_000), StopReason::Halted);
+                let mut fresh = hw.simulator(backend).expect("elaborates");
+                check_netlist(&m, &mut fresh, &program, &xsim).expect("agrees");
+                let want = vlog::stats_json(&fresh).with("kernel", kernel.name.as_str());
+                assert_eq!(block.to_pretty(), want.to_pretty(), "{}", kernel.name);
+            }
         }
         assert_eq!(plain.netlist_stats, obs::Json::Null);
     }

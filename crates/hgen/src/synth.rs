@@ -72,7 +72,8 @@ impl HgenResult {
 /// generated hardware, as `Xsim::load_program` does for the ILS: the
 /// instruction words, sized to `machine.word_width`, into the
 /// instruction memory, and the `.data` image, sized to the data
-/// memory's width, into the data memory.
+/// memory's width, into the data memory. Each memory is written in one
+/// batch and settles once.
 ///
 /// # Errors
 ///
@@ -89,13 +90,20 @@ pub fn load_program(
 ) -> Result<(), VlogError> {
     let imem = &machine.storage(machine.imem.expect("synthesizable machines have an imem")).name;
     let w = machine.word_width;
-    for (a, word) in program.words.iter().enumerate() {
-        sim.poke_memory(imem, a as u64, word.trunc(w).zext(w))?;
-    }
+    let words: Vec<_> = program
+        .words
+        .iter()
+        .enumerate()
+        .map(|(a, word)| (a as u64, word.trunc(w).zext(w)))
+        .collect();
+    sim.poke_memory_cells(imem, &words)?;
     if let Some(dm) = machine.storages.iter().find(|s| s.kind == StorageKind::DataMemory) {
-        for &(addr, v) in &program.data {
-            sim.poke_memory(&dm.name, addr, bitv::BitVector::from_i64(v, dm.width))?;
-        }
+        let data: Vec<_> = program
+            .data
+            .iter()
+            .map(|&(addr, v)| (addr, bitv::BitVector::from_i64(v, dm.width)))
+            .collect();
+        sim.poke_memory_cells(&dm.name, &data)?;
     }
     Ok(())
 }

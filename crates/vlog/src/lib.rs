@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! Synthesizable-Verilog substrate: AST, emitter, netlist elaboration,
 //! event-driven and compiled levelized simulation, and a technology
@@ -19,8 +20,8 @@
 //!   netlist (the Verilog-XL stand-in: it pays per-net event cost each
 //!   cycle, which is exactly why the ILS beats it in Table 1);
 //! * [`level`] / [`lsim`] — the compiled levelized backend (the GSIM
-//!   approach): topological ordering, 2-state bit-parallel word
-//!   evaluation over a flat arena, and partition skipping, bit-identical
+//!   approach): topological ordering, flat register programs of 2-state
+//!   word μ-ops over a flat arena, and partition skipping, bit-identical
 //!   to [`sim`] but fast enough to cross-check every exploration round;
 //! * [`tech`] — an LSI-10K-flavoured library mapping each word-level
 //!   operator to gate-equivalent area ("grid cells") and delay (ns),
@@ -221,21 +222,37 @@ impl AnySim {
         }
     }
 
-    /// Writes one memory cell directly and propagates.
+    /// Writes one memory cell directly and propagates: a one-cell
+    /// [`AnySim::poke_memory_cells`].
     ///
     /// # Errors
     ///
-    /// See [`sim::NetlistSim::poke_memory`] and
-    /// [`lsim::LevelizedSim::poke_memory`].
+    /// See [`AnySim::poke_memory_cells`].
     pub fn poke_memory(
         &mut self,
         name: &str,
         addr: u64,
         value: BitVector,
     ) -> Result<(), VlogError> {
+        self.poke_memory_cells(name, &[(addr, value)])
+    }
+
+    /// Writes many cells of one memory, each `(address, value)` in
+    /// order with addresses wrapping at the depth, then propagates
+    /// once: how a program is loaded.
+    ///
+    /// # Errors
+    ///
+    /// See [`sim::NetlistSim::poke_memory_cells`] and
+    /// [`lsim::LevelizedSim::poke_memory_cells`].
+    pub fn poke_memory_cells(
+        &mut self,
+        name: &str,
+        cells: &[(u64, BitVector)],
+    ) -> Result<(), VlogError> {
         match self {
-            Self::Event(s) => s.poke_memory(name, addr, value),
-            Self::Levelized(s) => s.poke_memory(name, addr, value),
+            Self::Event(s) => s.poke_memory_cells(name, cells),
+            Self::Levelized(s) => s.poke_memory_cells(name, cells),
         }
     }
 
@@ -317,6 +334,7 @@ pub fn stats_json(sim: &AnySim) -> obs::Json {
             obs::Json::obj()
                 .with("levels", u64::from(st.levels))
                 .with("partitions", st.partitions)
+                .with("wide_fallbacks", st.wide_fallbacks)
                 .with("partitions_evaluated", st.partitions_evaluated)
                 .with("partitions_skipped", st.partitions_skipped)
                 .with("skip_rate", st.skip_rate()),
@@ -351,6 +369,7 @@ mod stats_tests {
         assert_eq!(j.get_u64("cycles"), Some(5));
         let lv = j.get("levelized").expect("levelized block");
         assert!(lv.get_u64("partitions").is_some());
+        assert_eq!(lv.get_u64("wide_fallbacks"), Some(0), "a 4-bit counter runs on the u64 lane");
         assert!(lv.get_f64("skip_rate").is_some());
 
         let round_trip = obs::Json::parse(&j.to_pretty()).expect("parses");

@@ -134,8 +134,9 @@ impl NetlistSim {
         Ok(())
     }
 
-    /// Writes one memory cell directly (program loading / test setup)
-    /// and propagates to combinational readers.
+    /// Writes one memory cell directly (test setup) and propagates to
+    /// combinational readers: a one-cell
+    /// [`NetlistSim::poke_memory_cells`].
     ///
     /// # Errors
     ///
@@ -148,21 +149,43 @@ impl NetlistSim {
         addr: u64,
         value: BitVector,
     ) -> Result<(), VlogError> {
+        self.poke_memory_cells(name, &[(addr, value)])
+    }
+
+    /// Writes many cells of one memory (program loading), each
+    /// `(address, value)` in order with addresses wrapping at the
+    /// depth, then propagates to combinational readers once.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`VlogError`], and writes nothing, if the memory does
+    /// not exist or a value's width differs from the cells'; also fails
+    /// on a non-converging combinational loop.
+    pub fn poke_memory_cells(
+        &mut self,
+        name: &str,
+        cells: &[(u64, BitVector)],
+    ) -> Result<(), VlogError> {
         let id = self
             .netlist
             .mem_id(name)
             .ok_or_else(|| VlogError::new(format!("memory `{name}` does not exist")))?;
-        let m = &self.netlist.mems[id.0];
-        if value.width() != m.width {
+        let (width, depth) = (self.netlist.mems[id.0].width, self.netlist.mems[id.0].depth);
+        if let Some((_, v)) = cells.iter().find(|(_, v)| v.width() != width) {
             return Err(VlogError::new(format!(
-                "poke of `{name}`: value is {} bits, cells are {}",
-                value.width(),
-                m.width
+                "poke of `{name}`: value is {} bits, cells are {width}",
+                v.width()
             )));
         }
-        let i = (addr % m.depth) as usize;
-        if self.mems[id.0][i] != value {
-            self.mems[id.0][i] = value;
+        let mut changed = false;
+        for (addr, value) in cells {
+            let cell = &mut self.mems[id.0][(addr % depth) as usize];
+            if cell != value {
+                cell.clone_from(value);
+                changed = true;
+            }
+        }
+        if changed {
             self.settle_from(&[], &[id])?;
         }
         Ok(())

@@ -142,3 +142,63 @@ fn levelized_stats_show_partition_skipping_on_spam() {
     let round_trip = obs::Json::parse(&json.to_pretty()).expect("stats parse back");
     assert_eq!(round_trip.get_u64("cycles"), Some(sim.cycles()));
 }
+
+/// Every net and every memory cell of `sim`, in declaration order.
+fn netlist_state(sim: &AnySim) -> Vec<BitVector> {
+    let nl = sim.netlist().clone();
+    let nets = nl.nets.iter().map(|n| sim.peek(&n.name).expect("net"));
+    let cells = nl.mems.iter().flat_map(|m| (0..m.depth).map(|a| sim.peek_memory(&m.name, a)));
+    nets.chain(cells.map(|c| c.expect("cell"))).collect()
+}
+
+/// `hgen::load_program` writes each memory in one batch and settles
+/// once; writing the same cells one `poke_memory` at a time must leave
+/// every net and every memory cell equal, on both backends, before the
+/// first edge and after clocking.
+#[test]
+fn batched_program_load_matches_per_cell_pokes_on_both_backends() {
+    for (name, machine, asm) in corpus() {
+        let program = Assembler::new(&machine).assemble(&asm).expect("assembles");
+        let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
+        let imem = &machine.storage(machine.imem.expect("imem")).name;
+        let dm = machine.storages.iter().find(|s| s.kind == isdl::model::StorageKind::DataMemory);
+        for backend in BACKENDS {
+            let mut batched = result.simulator(backend).expect("elaborates");
+            let mut single = batched.clone();
+            hgen::load_program(&machine, &mut batched, &program).expect("loads");
+            let w = machine.word_width;
+            for (a, word) in program.words.iter().enumerate() {
+                single.poke_memory(imem, a as u64, word.trunc(w).zext(w)).expect("pokes");
+            }
+            for &(addr, v) in dm.map_or(&[][..], |_| &program.data) {
+                let dm = dm.expect("data memory");
+                single
+                    .poke_memory(&dm.name, addr, BitVector::from_i64(v, dm.width))
+                    .expect("pokes");
+            }
+            assert!(batched.events() <= single.events(), "{name} ({backend}): one settle");
+            assert_eq!(netlist_state(&batched), netlist_state(&single), "{name} ({backend})");
+            batched.clock(40).expect("clocks");
+            single.clock(40).expect("clocks");
+            assert_eq!(netlist_state(&batched), netlist_state(&single), "{name} ({backend})");
+        }
+    }
+}
+
+/// `levelized.wide_fallbacks` counts the combinational nodes and clocked
+/// statements that still evaluate a value wider than 64 bits. Slices of
+/// SPAM's 128-bit instruction word run on the u64 lane, so only the
+/// fetch `instr = IM[PC]` remains. WIDEMUL keeps its two 128-bit
+/// divide/modulo nodes and the two clocked statements that truncate
+/// their results to 16 bits (a truncation's operand is a 128-bit value).
+#[test]
+fn wide_fallbacks_count_what_still_runs_wide() {
+    for (sample, want) in [(isdl::samples::SPAM, 1), (isdl::samples::WIDEMUL, 4)] {
+        let machine = isdl::load(sample).expect("loads");
+        let result = synthesize(&machine, HgenOptions::default()).expect("synthesizes");
+        let sim = result.simulator(SimBackend::Levelized).expect("elaborates");
+        let stats = vlog::stats_json(&sim);
+        let levelized = stats.get("levelized").expect("levelized block");
+        assert_eq!(levelized.get_u64("wide_fallbacks"), Some(want), "{}", machine.name);
+    }
+}
